@@ -5,13 +5,12 @@
 //   (c) the serve::Predictor factored catalog program (SeqFM fast path),
 //   (d) the compiled op program (trace -> IR passes -> arena-planned VM),
 //       alone and behind a serve::ContextCache (the production config),
-//   (e) serve::BatchServer fusing many requests into multi-user waves, and
-//   (f) serve::ShardedPredictor partitioning the catalog across shards with
-//       a deterministic cross-shard top-K merge (--shards sweep),
+//   (e) serve::BatchServer fusing many requests into multi-user waves,
 // across thread counts. Every path produces bit-for-bit identical scores
-// and rankings; the bench asserts that (including cached-warm,
-// batch-served, and sharded results) before any timing and exits 1 on the
-// first mismatch.
+// and rankings; the bench asserts that (including cached-warm and
+// batch-served results, and rankings partitioned into --shards
+// LocalShardBackend jobs) before any timing and exits 1 on the first
+// mismatch.
 //
 // --smoke runs the parity gates only, on tiny shapes, and exits — the mode
 // CI uses under ASan+UBSan.
@@ -25,6 +24,7 @@
 #include "autograd/variable.h"
 #include "bench/bench_common.h"
 #include "ir/exec.h"
+#include "serve/backend.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
 #include "serve/shard.h"
@@ -116,6 +116,23 @@ size_t CountMismatches(const std::vector<float>& ref,
   return mismatches;
 }
 
+/// Top-k of \p candidates by their taped \p scores under serve::RankBefore,
+/// by one full sort — the ranking oracle of the top-K parity gates.
+std::vector<serve::ScoredItem> RankTaped(
+    const std::vector<int32_t>& candidates, const std::vector<float>& scores,
+    size_t k) {
+  std::vector<serve::RankEntry> entries(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    entries[i] = {scores[i], candidates[i], i};
+  }
+  std::sort(entries.begin(), entries.end(), serve::RankBefore);
+  std::vector<serve::ScoredItem> top;
+  for (size_t i = 0; i < std::min(k, entries.size()); ++i) {
+    top.push_back({entries[i].item, entries[i].score});
+  }
+  return top;
+}
+
 /// The repeated-user multi-request workload: request r comes from user
 /// r % users and re-ranks a rotating slate of \p slate candidates, so a
 /// (user, history) context is re-requested requests/users times — the
@@ -188,7 +205,7 @@ int Run(int argc, char** argv) {
       std::max<int64_t>(1, flags.GetInt("wave", 64)));
 
   PrintBanner("Serving throughput — taped vs tape-free vs factored vs "
-              "cached vs request-batched vs sharded",
+              "cached vs request-batched",
               "src/serve/ subsystem (no paper counterpart); catalog scoring "
               "for next-object ranking");
 
@@ -333,30 +350,36 @@ int Run(int argc, char** argv) {
           ScoreTaped(model.get(), *prep.builder, *workload.examples[r],
                      workload.slates[r], batch, &scratch);
       mismatches += count_ranking_mismatches(
-          futures[r].get(), serve::SelectTopK(workload.slates[r], rref, 10));
+          futures[r].get(), RankTaped(workload.slates[r], rref, 10));
     }
 
-    // Sharded catalog parity: every shard count (and a sharded BatchServer)
-    // must reproduce the unsharded Predictor ranking bit-for-bit — items
-    // and score bits — regardless of shard boundaries. Rank the same
-    // `catalog` everywhere: TopKAll would cover the full object space even
-    // when --candidates trimmed the bench catalog.
+    // Partitioned ranking parity: each request split into `shards`
+    // LocalShardBackend jobs over ShardBounds and merged by MergeSortedRuns
+    // must reproduce the taped ranking bit-for-bit — items and score bits —
+    // for every shard count, eager and compiled. Rank the same `catalog`
+    // everywhere: TopKAll would cover the full object space even when
+    // --candidates trimmed the bench catalog.
     const size_t gate_k = std::min<size_t>(10, num_candidates);
-    const auto want_top = fast.TopK(ex, catalog, gate_k);
-    for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&fast, {shards, 0});
-      mismatches +=
-          count_ranking_mismatches(sharded.TopK(ex, catalog, gate_k),
-                                   want_top);
-      // Sharded serving over the compiled program: same ranking bits.
-      serve::ShardedPredictor sharded_compiled(&compiled, {shards, 0});
-      mismatches += count_ranking_mismatches(
-          sharded_compiled.TopK(ex, catalog, gate_k), want_top);
-      serve::BatchServerOptions sharded_server_opts;
-      sharded_server_opts.num_shards = shards;
-      serve::BatchServer sharded_server(&fast, sharded_server_opts);
-      mismatches += count_ranking_mismatches(
-          sharded_server.Submit(ex, catalog, gate_k).get(), want_top);
+    const auto want_top = RankTaped(catalog, ref, gate_k);
+    for (const serve::Predictor* p : {&generic, &fast, &compiled}) {
+      mismatches += count_ranking_mismatches(p->TopK(ex, catalog, gate_k),
+                                             want_top);
+      serve::LocalShardBackend backend(p);
+      for (size_t shards : shard_counts) {
+        const std::vector<size_t> bounds =
+            serve::ShardBounds(catalog.size(), shards);
+        std::vector<serve::ScoreJob> jobs;
+        for (size_t s = 0; s < shards; ++s) {
+          jobs.push_back({&ex, &catalog, bounds[s], bounds[s + 1], gate_k});
+        }
+        std::vector<std::vector<serve::RankEntry>> runs;
+        if (!backend.ScoreTopK(jobs, &runs).ok()) {
+          mismatches += gate_k + 1;
+          continue;
+        }
+        mismatches += count_ranking_mismatches(
+            serve::MergeSortedRuns(runs, gate_k), want_top);
+      }
     }
     return mismatches;
   };
@@ -452,45 +475,6 @@ int Run(int argc, char** argv) {
       json.Add("compiled_p99_ms", compiled_path.p99_ms);
       json.Add("compiled_counts",
                static_cast<double>(compiled.engine()->stats().compiled_counts));
-    }
-    std::fflush(stdout);
-  }
-
-  // -------------------------------------------------------------------------
-  // Sharded catalog sweep: full-catalog top-10 through ShardedPredictor at
-  // each --shards value, against the unsharded factored TopKAll baseline.
-  // Sharding bounds per-request memory (shards * k heap entries instead of a
-  // full score vector) and must never change a bit of the ranking; the gate
-  // above already enforced parity, this section reports the cost.
-  // -------------------------------------------------------------------------
-  std::printf("\n--- sharded catalog serving: full-catalog top-10, "
-              "%zu requests ---\n", requests);
-  const size_t shard_k = std::min<size_t>(10, num_candidates);
-  for (size_t threads : thread_counts) {
-    util::SetGlobalThreads(threads);
-    const PathStats unsharded =
-        MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)fast.TopK(examples[r % examples.size()], catalog, shard_k);
-        });
-    std::printf("\n[threads=%zu] %-28s %12s %10s %10s %9s\n", threads, "path",
-                "scores/sec", "p50 ms", "p99 ms", "vs unshard");
-    std::printf("            %-28s %12.0f %7.3f    %7.3f    %8.2fx\n",
-                "unsharded top-K (baseline)", unsharded.scores_per_sec,
-                unsharded.p50_ms, unsharded.p99_ms, 1.0);
-    for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&fast, {shards, 0});
-      // Partition once, serve many — the intended deployment shape.
-      const serve::ShardedCatalog sharded_catalog(catalog, shards);
-      const PathStats s =
-          MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-            (void)sharded.TopK(examples[r % examples.size()],
-                               sharded_catalog, shard_k);
-          });
-      char name[64];
-      std::snprintf(name, sizeof(name), "sharded top-K (%zu shards)", shards);
-      std::printf("            %-28s %12.0f %7.3f    %7.3f    %8.2fx\n", name,
-                  s.scores_per_sec, s.p50_ms, s.p99_ms,
-                  s.scores_per_sec / unsharded.scores_per_sec);
     }
     std::fflush(stdout);
   }

@@ -264,6 +264,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct Frame {
+  /// The program's liveness token (Program::alive), held weakly: expired
+  /// once every copy of the program is destroyed.
+  std::weak_ptr<const uint64_t> program;
   tensor::Tensor block;
   std::vector<tensor::Tensor> locals;  // WrapExternal views into block
   std::vector<int32_t> sids, dids, uids;
@@ -272,12 +275,31 @@ struct Frame {
   bool needs_unified = false;
 };
 
+using FrameMap = std::unordered_map<uint64_t, std::unique_ptr<Frame>>;
+
+/// The calling thread's frames, keyed by program uid.
+FrameMap& ThreadFrames() {
+  thread_local FrameMap frames;
+  return frames;
+}
+
 Frame* FrameFor(const Program& prog) {
-  thread_local std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames;
+  FrameMap& frames = ThreadFrames();
   auto it = frames.find(prog.uid);
   if (it != frames.end()) return it->second.get();
 
+  // A miss is off the steady-state path anyway, so this is where frames of
+  // destroyed programs are freed: every recompile (checkpoint reload,
+  // context-cache invalidation, a new Predictor) and every discarded
+  // duplicate compile retires programs whose frames would otherwise stay
+  // resident on each thread that ran them. Hits stay lock- and
+  // allocation-free.
+  SEQFM_CHECK(prog.alive != nullptr) << "FrameFor: program without a uid";
+  for (auto f = frames.begin(); f != frames.end();) {
+    f = f->second->program.expired() ? frames.erase(f) : std::next(f);
+  }
   auto frame = std::make_unique<Frame>();
+  frame->program = prog.alive;
   frame->block =
       tensor::Tensor::Uninitialized({std::max<size_t>(prog.frame_floats, 1)});
   frame->locals.resize(prog.values.size());
@@ -522,6 +544,8 @@ std::string CheckArrays(const Frame& f, const data::Batch& batch) {
 
 }  // namespace
 
+size_t ThreadFrameCountForTest() { return ThreadFrames().size(); }
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -765,6 +789,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   // takes the thread pool's region lock via ParallelFor, and ScoreRange is
   // itself called from inside pool regions, so holding mu_ across the heavy
   // work would invert the pool/engine lock order (see ordered_mutex.h).
+  bool published = false;
   {
     util::OrderedMutexLock lock(mu_);
     if (adopt_prologue) {
@@ -781,11 +806,17 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.fused += delta.fused;
       stats_.compiled_counts += 1;
       bodies_[count] = std::make_unique<Program>(std::move(f.body));
+      published = true;
     }
     // else: a concurrent ScoreRange compiled this count first. Both compiles
     // trace the same deterministic model, so the programs are equivalent;
     // keeping the first insertion keeps frame uids stable.
   }
+  // Programs that die with `f` — a later count's verification-only prologue
+  // and a body that lost the publication race — free their self-check
+  // frames now rather than at this thread's next frame creation.
+  if (!adopt_prologue) ThreadFrames().erase(f.prologue.uid);
+  if (!published) ThreadFrames().erase(f.body.uid);
   return true;
 }
 

@@ -39,6 +39,10 @@ namespace ir {
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
               tensor::Tensor* out);
 
+/// Test hook: execution frames the calling thread holds (one per program it
+/// has run, minus those freed after their program was destroyed).
+size_t ThreadFrameCountForTest();
+
 /// Compile-time facts about an engine, surfaced in bench_serving --json.
 struct EngineStats {
   size_t prologue_instrs = 0;

@@ -194,7 +194,7 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   }
   res.prologue.output = kNoValue;
   res.prologue.slot_outputs = slots;
-  res.prologue.uid = NextProgramUid();
+  AssignProgramUid(&res.prologue);
 
   // Body: the variant sub-program at count C, reading the slots. Slots whose
   // count-C consumers saw the block-tiled shape get an explicit kTileRows
@@ -233,7 +233,7 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     for (uint32_t& u : ins.in) u = remap[u];
     res.body.instrs.push_back(std::move(ins));
   }
-  res.body.uid = NextProgramUid();
+  AssignProgramUid(&res.body);
   return res;
 }
 

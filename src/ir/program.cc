@@ -8,48 +8,82 @@
 namespace seqfm {
 namespace ir {
 
+namespace {
+
+/// The one spelling table behind OpKindName and OpKindFromName. Traced
+/// spellings are the autograd Node::op names; kReduceAxis1 has two of them
+/// (the first names it in logs), and the compiler-synthesized kinds are
+/// never traced.
+struct OpKindSpelling {
+  const char* name;
+  OpKind kind;
+  bool traced;
+};
+
+constexpr OpKindSpelling kOpKindSpellings[] = {
+    {"add", OpKind::kAdd, true},
+    {"sub", OpKind::kSub, true},
+    {"mul", OpKind::kMul, true},
+    {"scale", OpKind::kScale, true},
+    {"add_scalar", OpKind::kAddScalar, true},
+    {"add_bias", OpKind::kAddBias, true},
+    {"add_broadcast_batch", OpKind::kAddBroadcastBatch, true},
+    {"relu", OpKind::kRelu, true},
+    {"sigmoid", OpKind::kSigmoid, true},
+    {"tanh", OpKind::kTanh, true},
+    {"matmul", OpKind::kMatMul, true},
+    {"bmm_shared", OpKind::kBmmShared, true},
+    {"bmm", OpKind::kBmm, true},
+    {"bmm_left_shared", OpKind::kBmmLeftShared, true},
+    {"row_dot", OpKind::kRowDot, true},
+    {"masked_softmax", OpKind::kMaskedSoftmax, true},
+    {"layer_norm", OpKind::kLayerNorm, true},
+    {"concat_last", OpKind::kConcatLast, true},
+    {"concat_axis1", OpKind::kConcatAxis1, true},
+    {"mean_axis1", OpKind::kReduceAxis1, true},
+    {"sum_axis1", OpKind::kReduceAxis1, true},
+    {"slice_row", OpKind::kSliceRow, true},
+    {"sum_last", OpKind::kSumLast, true},
+    {"reshape", OpKind::kReshape, true},
+    {"expand_rows", OpKind::kExpandRows, true},
+    {"pairwise_upper", OpKind::kPairwiseUpper, true},
+    {"pairwise_cross", OpKind::kPairwiseCross, true},
+    {"embedding_gather", OpKind::kEmbeddingGather, true},
+    {"embedding_sum_gather", OpKind::kEmbeddingSumGather, true},
+    {"padding_mask", OpKind::kPaddingMask, false},
+    {"history_mask", OpKind::kHistoryMask, false},
+    {"cross_padding_mask", OpKind::kCrossPaddingMask, false},
+    {"zeros", OpKind::kZeros, false},
+    {"tile_rows", OpKind::kTileRows, false},
+};
+
+}  // namespace
+
 const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAdd: return "add";
-    case OpKind::kSub: return "sub";
-    case OpKind::kMul: return "mul";
-    case OpKind::kScale: return "scale";
-    case OpKind::kAddScalar: return "add_scalar";
-    case OpKind::kAddBias: return "add_bias";
-    case OpKind::kAddBroadcastBatch: return "add_broadcast_batch";
-    case OpKind::kRelu: return "relu";
-    case OpKind::kSigmoid: return "sigmoid";
-    case OpKind::kTanh: return "tanh";
-    case OpKind::kMatMul: return "matmul";
-    case OpKind::kBmmShared: return "bmm_shared";
-    case OpKind::kBmm: return "bmm";
-    case OpKind::kBmmLeftShared: return "bmm_left_shared";
-    case OpKind::kRowDot: return "row_dot";
-    case OpKind::kMaskedSoftmax: return "masked_softmax";
-    case OpKind::kLayerNorm: return "layer_norm";
-    case OpKind::kConcatLast: return "concat_last";
-    case OpKind::kConcatAxis1: return "concat_axis1";
-    case OpKind::kReduceAxis1: return "reduce_axis1";
-    case OpKind::kSliceRow: return "slice_row";
-    case OpKind::kSumLast: return "sum_last";
-    case OpKind::kReshape: return "reshape";
-    case OpKind::kExpandRows: return "expand_rows";
-    case OpKind::kPairwiseUpper: return "pairwise_upper";
-    case OpKind::kPairwiseCross: return "pairwise_cross";
-    case OpKind::kEmbeddingGather: return "embedding_gather";
-    case OpKind::kEmbeddingSumGather: return "embedding_sum_gather";
-    case OpKind::kPaddingMask: return "padding_mask";
-    case OpKind::kHistoryMask: return "history_mask";
-    case OpKind::kCrossPaddingMask: return "cross_padding_mask";
-    case OpKind::kZeros: return "zeros";
-    case OpKind::kTileRows: return "tile_rows";
+  for (const OpKindSpelling& s : kOpKindSpellings) {
+    if (s.kind == kind) return s.name;
   }
   return "?";
+}
+
+bool OpKindFromName(const std::string& name, OpKind* kind) {
+  for (const OpKindSpelling& s : kOpKindSpellings) {
+    if (s.traced && name == s.name) {
+      *kind = s.kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 uint64_t NextProgramUid() {
   static std::atomic<uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+void AssignProgramUid(Program* prog) {
+  prog->uid = NextProgramUid();
+  prog->alive = std::make_shared<const uint64_t>(prog->uid);
 }
 
 namespace {

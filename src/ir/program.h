@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,15 @@ enum class OpKind : uint8_t {
   kTileRows,          // repeat the whole input buffer out.size/in.size times
 };
 
-/// Name of an op kind ("scale", "tile_rows", ...) for logs and tests.
+/// Name of an op kind ("scale", "tile_rows", ...) for logs and tests. Both
+/// this and OpKindFromName read one spelling table (program.cc).
 const char* OpKindName(OpKind kind);
+
+/// The OpKind of the autograd op named \p name (Node::op). Only the first,
+/// eager-mirroring block of kinds is traceable: kReduceAxis1 has the two
+/// spellings "mean_axis1" and "sum_axis1", and compiler-synthesized kinds
+/// have none. Returns false for an untraceable name.
+bool OpKindFromName(const std::string& name, OpKind* kind);
 
 /// How a Value resolves to a tensor at execution time.
 enum class ValueKind : uint8_t {
@@ -155,10 +163,17 @@ struct Program {
   size_t frame_floats = 0;
   /// Key for the per-thread execution frame cache.
   uint64_t uid = 0;
+  /// Liveness of this uid, shared by the program's copies. Execution frames
+  /// hold it weakly, so each thread frees the frames of destroyed programs
+  /// the next time it creates a frame (ir/exec.cc).
+  std::shared_ptr<const uint64_t> alive;
 };
 
-/// Process-unique program id for frame caching.
+/// Process-unique id (program uids and ir::Engine::uid()).
 uint64_t NextProgramUid();
+
+/// Gives \p prog a fresh uid and liveness token.
+void AssignProgramUid(Program* prog);
 
 /// Materializes a compiler-synthesized mask/zeros instruction into \p dst
 /// (size \p batch * rows_per_sample * cols as implied by the kind) from the

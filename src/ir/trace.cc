@@ -22,52 +22,6 @@ constexpr const char kTagHistoryMask[] = "const:history_mask";
 constexpr const char kTagCrossPaddingMask[] = "const:cross_padding_mask";
 constexpr const char kTagZeroState[] = "const:zero_state";
 
-bool OpKindFromName(const std::string& name, OpKind* kind, float* alpha_sign) {
-  struct Entry {
-    const char* name;
-    OpKind kind;
-  };
-  static const Entry kTable[] = {
-      {"add", OpKind::kAdd},
-      {"sub", OpKind::kSub},
-      {"mul", OpKind::kMul},
-      {"scale", OpKind::kScale},
-      {"add_scalar", OpKind::kAddScalar},
-      {"add_bias", OpKind::kAddBias},
-      {"add_broadcast_batch", OpKind::kAddBroadcastBatch},
-      {"relu", OpKind::kRelu},
-      {"sigmoid", OpKind::kSigmoid},
-      {"tanh", OpKind::kTanh},
-      {"matmul", OpKind::kMatMul},
-      {"bmm_shared", OpKind::kBmmShared},
-      {"bmm", OpKind::kBmm},
-      {"bmm_left_shared", OpKind::kBmmLeftShared},
-      {"row_dot", OpKind::kRowDot},
-      {"masked_softmax", OpKind::kMaskedSoftmax},
-      {"layer_norm", OpKind::kLayerNorm},
-      {"concat_last", OpKind::kConcatLast},
-      {"concat_axis1", OpKind::kConcatAxis1},
-      {"mean_axis1", OpKind::kReduceAxis1},
-      {"sum_axis1", OpKind::kReduceAxis1},
-      {"slice_row", OpKind::kSliceRow},
-      {"sum_last", OpKind::kSumLast},
-      {"reshape", OpKind::kReshape},
-      {"expand_rows", OpKind::kExpandRows},
-      {"pairwise_upper", OpKind::kPairwiseUpper},
-      {"pairwise_cross", OpKind::kPairwiseCross},
-      {"embedding_gather", OpKind::kEmbeddingGather},
-      {"embedding_sum_gather", OpKind::kEmbeddingSumGather},
-  };
-  (void)alpha_sign;
-  for (const Entry& e : kTable) {
-    if (name == e.name) {
-      *kind = e.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Checks \p binding against an observed index matrix [batch, n] and the
 /// request arrays it claims to derive from. Negative entries mean padding to
 /// every gather, so they only need to agree in sign.
@@ -282,7 +236,7 @@ struct TraceSink {
               const autograd::TraceAttrs* attrs) {
     if (!error.empty()) return;
     OpKind kind;
-    if (!OpKindFromName(node->op, &kind, nullptr)) {
+    if (!OpKindFromName(node->op, &kind)) {
       Fail("untraceable op '" + node->op + "'");
       return;
     }
@@ -346,7 +300,7 @@ TraceResult Trace(core::Model* model, const data::Batch& batch) {
   sink.prog.n_static = batch.n_static;
   sink.prog.n_seq = batch.n_seq;
   sink.prog.n_unified = batch.n_unified;
-  sink.prog.uid = NextProgramUid();
+  AssignProgramUid(&sink.prog);
 
   autograd::Variable out;
   {

@@ -14,9 +14,53 @@
 namespace seqfm {
 namespace serve {
 
-LocalShardBackend::LocalShardBackend(const Predictor* predictor,
-                                     LocalShardBackendOptions options)
-    : predictor_(predictor), options_(options) {
+namespace {
+
+/// Bounded top-k accumulator under RankBefore: holds at most k entries, and
+/// Push replaces the current worst entry when the new one ranks before it.
+/// The retained set is the top-k of everything ever pushed, independent of
+/// push order, so concurrent chunk tasks feeding one heap (under the
+/// caller's lock) stay deterministic. Not internally synchronized.
+class TopKHeap {
+ public:
+  explicit TopKHeap(size_t k) : k_(k) {}
+
+  void Push(const RankEntry& entry) {
+    if (k_ == 0) return;
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), RankBefore);
+      return;
+    }
+    // Front is the worst retained entry; replace it only when the newcomer
+    // ranks strictly before it.
+    if (!RankBefore(entry, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), RankBefore);
+    heap_.back() = entry;
+    std::push_heap(heap_.begin(), heap_.end(), RankBefore);
+  }
+
+  size_t capacity() const { return k_; }
+
+  /// The retained entries in internal heap order (no sort).
+  const std::vector<RankEntry>& entries() const { return heap_; }
+
+  /// Moves the retained entries out, best first (RankBefore order).
+  std::vector<RankEntry> TakeSorted() {
+    std::sort(heap_.begin(), heap_.end(), RankBefore);
+    return std::move(heap_);
+  }
+
+ private:
+  size_t k_;
+  /// Binary heap with the worst retained entry at the front.
+  std::vector<RankEntry> heap_;
+};
+
+}  // namespace
+
+LocalShardBackend::LocalShardBackend(const Predictor* predictor)
+    : predictor_(predictor) {
   SEQFM_CHECK(predictor_ != nullptr) << "LocalShardBackend: null predictor";
 }
 
@@ -84,14 +128,8 @@ Status LocalShardBackend::ScoreTopK(
   }
 
   // Phase 2: one fused ParallelFor over every (job, chunk) task of the
-  // batch — the multi-user scoring wave that keeps all pool threads busy
-  // regardless of per-job range size. Chunks never cross a job boundary,
-  // and each job reduces into one bounded top-K heap, so the batch holds
-  // sum_j min(k_j, range_j) retained entries plus one chunk-local score
-  // buffer per pool thread — never a full score vector.
-  const size_t chunk_size = options_.micro_batch > 0
-                                ? options_.micro_batch
-                                : predictor_->options().micro_batch;
+  // batch keeps all pool threads busy regardless of per-job range size.
+  const size_t chunk_size = predictor_->options().micro_batch;
   struct JobChunk {
     size_t job;
     size_t begin;
@@ -121,16 +159,36 @@ Status LocalShardBackend::ScoreTopK(
     for (size_t t = t0; t < t1; ++t) {
       const JobChunk& task = tasks[t];
       const ScoreJob& job = jobs[task.job];
-      ScoreChunkIntoHeap(*predictor_, contexts[task.job].get(), *job.ex,
-                         *job.candidates, ShardChunk{0, task.begin, task.end},
-                         &chunk_scores, &heap_mu[task.job], &heaps[task.job]);
+      chunk_scores.resize(task.end - task.begin);
+      if (contexts[task.job] != nullptr) {
+        predictor_->ScoreContextRange(*contexts[task.job], *job.ex,
+                                      *job.candidates, task.begin, task.end,
+                                      chunk_scores.data());
+      } else {
+        predictor_->ScoreGenericRange(*job.ex, *job.candidates, task.begin,
+                                      task.end, chunk_scores.data());
+      }
+      // Reduce lock-free into a chunk-local heap first, then merge only its
+      // <= k survivors under the job's mutex: the retained set is push-order
+      // independent, so the bits are identical while the critical section
+      // shrinks from O(chunk log k) to O(k log k) — concurrent chunks of a
+      // large job would otherwise convoy on the mutex.
+      TopKHeap local(heaps[task.job].capacity());
+      for (size_t i = 0; i < chunk_scores.size(); ++i) {
+        local.Push({chunk_scores[i], (*job.candidates)[task.begin + i],
+                    task.begin + i});
+      }
+      std::lock_guard<std::mutex> lock(heap_mu[task.job]);
+      for (const RankEntry& entry : local.entries()) {
+        heaps[task.job].Push(entry);
+      }
     }
   });
 
   // Phase 3: each job's run, best first, with identity-job positions
   // restored to global catalog positions.
   for (size_t j = 0; j < num_jobs; ++j) {
-    (*results)[j] = heaps[j].SortedEntries();
+    (*results)[j] = heaps[j].TakeSorted();
     if (pos_offset[j] != 0) {
       for (RankEntry& e : (*results)[j]) e.pos += pos_offset[j];
     }

@@ -50,16 +50,16 @@ struct BackendRecoveryStats {
 /// \brief The transport-agnostic scoring seam of the serving stack.
 ///
 /// "Score a candidate range and return a bounded top-K" is the one operation
-/// every serving layer needs: BatchServer waves, ShardedPredictor fan-out,
-/// and the distributed Coordinator all reduce to batches of ScoreJobs. A
+/// every serving layer needs: Predictor::TopK, BatchServer waves and the
+/// distributed Coordinator all reduce to batches of ScoreJobs. A
 /// backend executes a batch and returns, per job, the top-min(k, range)
 /// entries sorted best-first under RankBefore, carrying RAW float scores
 /// (bit-exact — merges downstream must reproduce the single-process ranking
 /// bit for bit, so no backend may round, rescale, or re-derive scores).
 ///
 /// Implementations:
-///  - LocalShardBackend: in-process, over Predictor::ScoreContextRange +
-///    TopKHeap — the engine room of BatchServer and ShardedPredictor.
+///  - LocalShardBackend: in-process, over the Predictor's range scorers —
+///    the engine room of Predictor::TopK and BatchServer.
 ///  - RemoteReplicaBackend: one replica process over the RPC wire protocol
 ///    (serve/protocol.h kShardRequestFrame), used by serve::Coordinator.
 ///
@@ -91,42 +91,34 @@ class ScoringBackend {
   virtual BackendRecoveryStats RecoveryStats() const { return {}; }
 };
 
-struct LocalShardBackendOptions {
-  /// Candidates per pool chunk task; 0 uses the Predictor's micro_batch.
-  size_t micro_batch = 0;
-};
-
 /// \brief In-process ScoringBackend over a serve::Predictor.
 ///
-/// Runs a job batch the way BatchServer::ServeWave and
-/// ShardedPredictor::TopK used to inline it (both now delegate here):
+/// The one place src/serve/ ranks candidates in process. A job batch runs as:
 ///   1. resolve each unique (user, history) SharedContext once per batch —
 ///      deduped across jobs before the ContextCache is even consulted, so a
 ///      cold cache never computes the same context twice in one batch;
-///   2. one fused ParallelFor over every (job, chunk) task, chunks never
-///      crossing a job boundary, reduced into one bounded TopKHeap per job
-///      (chunk-locally first, then <= k survivors under the job's mutex);
-///   3. per-job SortedEntries as the result runs.
-/// The retained set of a TopKHeap is push-order independent and RankBefore
-/// is a strict total order, so results are bit-identical for any pool
-/// schedule, thread count, chunk size, and job partition of the same range.
+///   2. one fused ParallelFor over every (job, chunk) task of at most the
+///      Predictor's micro_batch candidates, chunks never crossing a job
+///      boundary; each chunk reduces into a chunk-local bounded top-K, and
+///      its <= k survivors join the job's top-K under the job's mutex;
+///   3. per-job best-first runs as the results.
+/// The retained set of a bounded top-K is push-order independent and
+/// RankBefore is a strict total order, so results are bit-identical for any
+/// pool schedule, thread count, chunk size, and job partition of the same
+/// range. A batch holds sum_j min(k_j, range_j) retained entries plus one
+/// chunk of scores per pool thread — never a full score vector.
 ///
 /// Thread-safe for concurrent ScoreTopK calls after construction. The
 /// Predictor is borrowed and must outlive this object.
 class LocalShardBackend : public ScoringBackend {
  public:
-  explicit LocalShardBackend(const Predictor* predictor,
-                             LocalShardBackendOptions options = {});
+  explicit LocalShardBackend(const Predictor* predictor);
 
   Status ScoreTopK(const std::vector<ScoreJob>& jobs,
                    std::vector<std::vector<RankEntry>>* results) override;
 
-  const Predictor* predictor() const { return predictor_; }
-  const LocalShardBackendOptions& options() const { return options_; }
-
  private:
   const Predictor* predictor_;
-  LocalShardBackendOptions options_;
 };
 
 /// \brief Identity of one replica (or local stand-in) in a distributed
@@ -138,8 +130,8 @@ struct ReplicaInfo {
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
   /// Owned slice [shard_begin, shard_end) of the identity catalog — always
-  /// equal to ShardedCatalog::Bounds(catalog_size, num_shards) at
-  /// shard_index, so replicas configured alike agree on every boundary.
+  /// equal to ShardBounds(catalog_size, num_shards) at shard_index, so
+  /// replicas configured alike agree on every boundary.
   uint64_t shard_begin = 0;
   uint64_t shard_end = 0;
   uint64_t catalog_size = 0;

@@ -94,7 +94,7 @@ Status Coordinator::Ready() {
   // and the coordinator then agree on every boundary without negotiation,
   // and the union of groups tiles the catalog exactly.
   const std::vector<size_t> bounds =
-      ShardedCatalog::Bounds(first.catalog_size, first.num_shards);
+      ShardBounds(first.catalog_size, first.num_shards);
   std::vector<std::vector<size_t>> groups(first.num_shards);
   for (size_t m = 0; m < members_.size(); ++m) {
     const ReplicaInfo& info = members_[m].info;
@@ -213,8 +213,7 @@ Status Coordinator::TopKAll(const data::SequenceExample& ex, size_t k,
           "coordinator: TopKAll before Ready()");
     }
     out->shards_total = num_shards_;
-    const std::vector<size_t> bounds =
-        ShardedCatalog::Bounds(catalog_size_, num_shards_);
+    const std::vector<size_t> bounds = ShardBounds(catalog_size_, num_shards_);
     const uint64_t affinity =
         util::Fnv1a64(&ex.user, sizeof(ex.user));
     const auto now = std::chrono::steady_clock::now();
@@ -321,8 +320,8 @@ Status Coordinator::TopKAll(const data::SequenceExample& ex, size_t k,
 
   // Merge whatever answered. Failed shards contribute an empty run, which
   // MergeSortedRuns permits; with every shard healthy this is the exact
-  // reduction ShardedPredictor::TopKAll runs in process, so the ranking is
-  // bit-identical to single-process sharded serving.
+  // reduction Predictor::TopK runs in process, so the ranking is
+  // bit-identical to single-process serving.
   uint32_t ok_shards = 0;
   for (uint32_t s = 0; s < shards; ++s) ok_shards += merged[s];
   out->shards_merged = ok_shards;

@@ -1,15 +1,15 @@
 #include "serve/predictor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "nn/module.h"
+#include "serve/backend.h"
 #include "serve/checkpoint.h"
-#include "serve/shard.h"  // RankBefore, the serving-wide ranking order
+#include "serve/shard.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -124,16 +124,37 @@ void Predictor::InvalidateContextCache() {
 std::vector<float> Predictor::ScoreCandidates(
     const data::SequenceExample& ex,
     const std::vector<int32_t>& candidates) const {
-  if (candidates.empty()) return {};
-  return context_path_active() ? ScoreContext(ex, candidates)
-                               : ScoreGeneric(ex, candidates);
+  const size_t total = candidates.size();
+  if (total == 0) return {};
+  const ContextPtr ctx =
+      context_path_active() ? AcquireContext(ex) : ContextPtr();
+  const size_t chunk_size = options_.micro_batch;
+  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
+  std::vector<float> scores(total);
+
+  // Safe to fan out from the first chunk: eval-mode Score is read-only for
+  // every model (SeqFM materializes its cross mask in its constructor, and
+  // the baselines build masks as per-call locals).
+  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
+    for (size_t c = c0; c < c1; ++c) {
+      const size_t begin = c * chunk_size;
+      const size_t end = std::min(total, begin + chunk_size);
+      if (ctx != nullptr) {
+        ScoreContextRange(*ctx, ex, candidates, begin, end,
+                          scores.data() + begin);
+      } else {
+        ScoreGenericRange(ex, candidates, begin, end, scores.data() + begin);
+      }
+    }
+  });
+  return scores;
 }
 
 void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
                                   const std::vector<int32_t>& candidates,
                                   size_t begin, size_t end, float* out) const {
   // Grad mode is thread-scoped, so the guard must live here — this runs
-  // directly on pool workers (ScoreGeneric) and on BatchServer wave tasks.
+  // directly on pool workers (ScoreCandidates and LocalShardBackend chunks).
   // The scratch scope routes every op output of the forward into the
   // worker's arena; results are copied into `out` before it closes.
   autograd::NoGradGuard no_grad;
@@ -147,28 +168,6 @@ void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
   SEQFM_CHECK_EQ(scored.value().size(), end - begin);
   const float* src = scored.value().data();
   for (size_t i = 0; i < end - begin; ++i) out[i] = src[i];
-}
-
-std::vector<float> Predictor::ScoreGeneric(
-    const data::SequenceExample& ex,
-    const std::vector<int32_t>& candidates) const {
-  const size_t total = candidates.size();
-  const size_t chunk_size = options_.micro_batch;
-  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<float> scores(total);
-
-  // Safe to fan out from the first chunk: eval-mode Score is read-only for
-  // every model (SeqFM materializes its cross mask in its constructor, and
-  // the baselines build masks as per-call locals).
-  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const size_t begin = c * chunk_size;
-      ScoreGenericRange(ex, candidates, begin,
-                        std::min(total, begin + chunk_size),
-                        scores.data() + begin);
-    }
-  });
-  return scores;
 }
 
 Predictor::ContextPtr Predictor::AcquireContext(
@@ -330,54 +329,19 @@ void Predictor::ScoreFactoredRange(const core::SharedContext& ctx,
   for (size_t i = 0; i < count; ++i) out_scores[i] = src[i];
 }
 
-std::vector<float> Predictor::ScoreContext(
-    const data::SequenceExample& ex,
-    const std::vector<int32_t>& candidates) const {
-  const ContextPtr ctx = AcquireContext(ex);
-  const size_t total = candidates.size();
-  const size_t chunk_size = options_.micro_batch;
-  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<float> scores(total);
-
-  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const size_t begin = c * chunk_size;
-      ScoreContextRange(*ctx, ex, candidates, begin,
-                        std::min(total, begin + chunk_size),
-                        scores.data() + begin);
-    }
-  });
-  return scores;
-}
-
-std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
-                                   const std::vector<float>& scores,
-                                   size_t k) {
-  SEQFM_CHECK_EQ(candidates.size(), scores.size());
-  k = std::min(k, candidates.size());
-  std::vector<size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  // RankBefore is the one serving-wide order (score desc, NaN last, ties by
-  // candidate id then position): ranking here through the same comparator
-  // the per-shard heaps and the cross-shard merge use is what makes sharded
-  // results bit-identical to this function. Ties used to break by position,
-  // which silently diverged from any sharded merge — see serve/shard.h.
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-                    order.end(), [&](size_t a, size_t b) {
-                      return RankBefore({scores[a], candidates[a], a},
-                                        {scores[b], candidates[b], b});
-                    });
-  std::vector<ScoredItem> top(k);
-  for (size_t i = 0; i < k; ++i) {
-    top[i] = {candidates[order[i]], scores[order[i]]};
-  }
-  return top;
-}
-
 std::vector<ScoredItem> Predictor::TopK(const data::SequenceExample& ex,
                                         const std::vector<int32_t>& candidates,
                                         size_t k) const {
-  return SelectTopK(candidates, ScoreCandidates(ex, candidates), k);
+  k = std::min(k, candidates.size());
+  if (k == 0) return {};
+  LocalShardBackend backend(this);
+  std::vector<std::vector<RankEntry>> runs;
+  const Status st =
+      backend.ScoreTopK({ScoreJob{&ex, &candidates, 0, candidates.size(), k}},
+                        &runs);
+  SEQFM_CHECK(st.ok()) << "Predictor::TopK: local backend failed: "
+                       << st.ToString();
+  return MergeSortedRuns(runs, k);
 }
 
 std::vector<ScoredItem> Predictor::TopKAll(const data::SequenceExample& ex,

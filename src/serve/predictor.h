@@ -65,17 +65,6 @@ struct ScoredItem {
   float score = 0.0f;
 };
 
-/// Top-k of \p candidates by \p scores under the serving-wide total order
-/// (serve::RankBefore): descending score, NaN scores last, score ties by
-/// candidate **id** ascending, duplicate ids by position. Ordering ties by
-/// id rather than by position in the candidates vector is what keeps
-/// sharded and unsharded rankings identical — a shard boundary changes
-/// positions but never ids. k is clamped to candidates.size(). Used by
-/// Predictor::TopK; BatchServer and ShardedPredictor produce the same
-/// rankings through per-shard TopKHeaps + MergeTopK over the same order.
-std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
-                                   const std::vector<float>& scores, size_t k);
-
 /// \brief Forward-only scoring front end: the serving counterpart of
 /// core::Trainer.
 ///
@@ -105,13 +94,18 @@ class Predictor {
 
   /// Scores each candidate object for the example's (user, history) context.
   /// scores[i] corresponds to candidates[i]. Bit-for-bit identical to
-  /// scoring the same candidate batch through Model::Score.
+  /// scoring the same candidate batch through Model::Score. Materializes
+  /// the full score vector (the evaluator needs it); ranking callers use
+  /// TopK, which never does.
   std::vector<float> ScoreCandidates(
       const data::SequenceExample& ex,
       const std::vector<int32_t>& candidates) const;
 
-  /// Top-k of \p candidates by score (descending; ties broken by candidate
-  /// id — see SelectTopK). k is clamped to candidates.size().
+  /// Top-k of \p candidates under the serving-wide order serve::RankBefore
+  /// (score descending, NaN last, ties by candidate id, then position). k is
+  /// clamped to candidates.size(). Runs as one ScoreJob through a
+  /// serve::LocalShardBackend, so it holds O(k + one chunk per pool thread)
+  /// scores, and ranks exactly as BatchServer and Coordinator do.
   std::vector<ScoredItem> TopK(const data::SequenceExample& ex,
                                const std::vector<int32_t>& candidates,
                                size_t k) const;
@@ -147,7 +141,7 @@ class Predictor {
   /// route other than ReloadCheckpoint. No-op when caching is off.
   void InvalidateContextCache();
 
-  // --- Fused-scoring building blocks (used by serve::BatchServer) ---------
+  // --- Range-scoring building blocks (used by serve::LocalShardBackend) ---
 
   /// The (cached) SharedContext for this example. Context path only
   /// (context_path_active() must hold). Compiled contexts carry the
@@ -159,8 +153,8 @@ class Predictor {
   /// body program when compiled_active(), else the hand-factored SeqFM
   /// program — writing the end - begin results to out[0, end - begin).
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
-  /// indexed by begin) is what lets sharded serving bound its memory to one
-  /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
+  /// indexed by begin) is what lets ranking bound its memory to one chunk
+  /// per pool thread. Sets up its own NoGradGuard, so it can run
   /// directly on pool worker threads. A compiled-path failure (a lazy
   /// per-count body compile that does not verify) permanently disables the
   /// engine and re-scores the chunk through the fallback paths, so results
@@ -202,10 +196,6 @@ class Predictor {
   /// use_compiled_program is off). Stats feed bench_serving --json.
   const ir::Engine* engine() const { return engine_.get(); }
 
-  /// The identity catalog [0, num_objects) behind TopKAll, built once at
-  /// construction (ShardedPredictor partitions it instead of re-deriving).
-  const std::vector<int32_t>& full_catalog() const { return full_catalog_; }
-
   /// Non-null iff the context path is active and context_cache_bytes > 0.
   const ContextCache* context_cache() const { return cache_.get(); }
 
@@ -220,10 +210,6 @@ class Predictor {
   const PredictorOptions& options() const { return options_; }
 
  private:
-  std::vector<float> ScoreGeneric(const data::SequenceExample& ex,
-                                  const std::vector<int32_t>& candidates) const;
-  std::vector<float> ScoreContext(const data::SequenceExample& ex,
-                                  const std::vector<int32_t>& candidates) const;
   /// (Re)compiles the serving program from the model's CURRENT parameters.
   /// Called at construction and again whenever parameters change: the
   /// candidate-invariant split is verified against live parameter values, so

@@ -15,9 +15,7 @@ BatchServer::BatchServer(Predictor* predictor, BatchServerOptions options)
     : predictor_(predictor), options_(options) {
   SEQFM_CHECK(predictor_ != nullptr) << "BatchServer: null predictor";
   SEQFM_CHECK_GT(options_.max_wave_requests, 0u);
-  SEQFM_CHECK_GT(options_.num_shards, 0u);
-  backend_ = std::make_unique<LocalShardBackend>(
-      predictor_, LocalShardBackendOptions{options_.micro_batch});
+  backend_ = std::make_unique<LocalShardBackend>(predictor_);
   dispatcher_ = std::thread([this]() { DispatchLoop(); });
 }
 
@@ -139,53 +137,46 @@ void BatchServer::DispatchLoop() {
 
 void BatchServer::ServeWave(std::vector<Request>* wave) {
   const size_t num_requests = wave->size();
-  const size_t num_shards = options_.num_shards;
 
-  // Every (request, shard) of the wave is one ScoreJob on the shared
-  // backend seam (serve/backend.h). The LocalShardBackend reproduces the
-  // wave semantics this method used to inline: unique (user, history)
-  // contexts resolved once per wave across requests, then one fused
-  // ParallelFor over every (job, chunk) task — all pool threads busy
-  // regardless of per-request catalog size — reduced into one bounded
-  // top-K heap per job, so the wave holds requests * shards * k retained
-  // entries plus one chunk-local score buffer per pool thread, never a
-  // full score vector.
+  // Every request of the wave is one ScoreJob on the shared backend seam
+  // (serve/backend.h): unique (user, history) contexts resolve once per
+  // wave across requests, then one fused ParallelFor over every (job,
+  // chunk) task keeps all pool threads busy regardless of per-request slate
+  // size, reduced into one bounded top-K per job — the wave holds
+  // requests * k retained entries plus one chunk of scores per pool thread,
+  // never a full score vector.
   std::vector<ScoreJob> jobs;
   std::vector<size_t> job_request;  // job index -> wave request index
-  jobs.reserve(num_requests * num_shards);
-  job_request.reserve(num_requests * num_shards);
+  jobs.reserve(num_requests);
+  job_request.reserve(num_requests);
   for (size_t r = 0; r < num_requests; ++r) {
     const Request& req = (*wave)[r];
     const size_t total = req.candidates.size();
     if (total == 0 || req.k == 0) continue;
-    const std::vector<size_t> bounds =
-        ShardedCatalog::Bounds(total, num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      jobs.push_back({&req.ex, &req.candidates, bounds[s], bounds[s + 1],
-                      std::min(req.k, total)});
-      job_request.push_back(r);
-    }
+    jobs.push_back(
+        {&req.ex, &req.candidates, 0, total, std::min(req.k, total)});
+    job_request.push_back(r);
   }
   std::vector<std::vector<RankEntry>> runs;
   const Status st = backend_->ScoreTopK(jobs, &runs);
   SEQFM_CHECK(st.ok()) << "BatchServer: local backend failed: "
                        << st.ToString();
 
-  // Cross-shard merge per request and callback delivery. The served
-  // counter is published first so a client that observed its result arrive
-  // always sees its request counted.
-  std::vector<std::vector<std::vector<RankEntry>>> request_runs(num_requests);
+  // Rank each request through the shared MergeSortedRuns reduction, then
+  // deliver. The served counter is published first so a client that
+  // observed its result arrive always sees its request counted.
+  std::vector<std::vector<ScoredItem>> results(num_requests);
+  std::vector<std::vector<RankEntry>> run(1);
   for (size_t j = 0; j < jobs.size(); ++j) {
-    request_runs[job_request[j]].push_back(std::move(runs[j]));
+    run[0] = std::move(runs[j]);
+    results[job_request[j]] = MergeSortedRuns(run, jobs[j].k);
   }
   {
     util::OrderedMutexLock lock(mu_);
     stats_.requests_served += num_requests;
   }
   for (size_t r = 0; r < num_requests; ++r) {
-    Request& req = (*wave)[r];
-    req.done(request_runs[r].empty() ? std::vector<ScoredItem>{}
-                                     : MergeSortedRuns(request_runs[r], req.k));
+    (*wave)[r].done(std::move(results[r]));
   }
 }
 

@@ -6,7 +6,8 @@
 //   - compiled-vs-eager serving parity: bit-for-bit equal scores for every
 //     model at 1/2 threads, 1/3 shards, and both SIMD levels;
 //   - compiler lifecycle: recompile on checkpoint reload, graceful eager
-//     fallback when the catalog is too small to disambiguate probes, and
+//     fallback when the catalog is too small to disambiguate probes,
+//     execution frames of destroyed programs freed across recompiles, and
 //     loss-curve invariance (tracing/compiling never perturbs training).
 #include <gtest/gtest.h>
 
@@ -30,9 +31,11 @@
 #include "ir/verify.h"
 #include "nn/module.h"
 #include "serve/checkpoint.h"
+#include "serve/backend.h"
 #include "serve/predictor.h"
 #include "serve/shard.h"
 #include "tensor/kernels.h"
+#include "tests/ranking_oracle.h"
 #include "util/cpu.h"
 #include "util/thread_pool.h"
 
@@ -628,24 +631,26 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
         ASSERT_EQ(want.size(), got.size());
         ExpectBitEqual(want.data(), got.data(), want.size(), where);
 
-        // Sharded serving over the compiled predictor reproduces the eager
-        // unsharded ranking exactly (scores compared as bits).
-        const std::vector<serve::ScoredItem> ref = eager.TopKAll(ex, 5);
+        // Ranking over the compiled predictor — whole, and partitioned
+        // into LocalShardBackend jobs merged by MergeSortedRuns — reproduces
+        // the eager score vector's ranking exactly (scores compared as bits).
+        const std::vector<serve::ScoredItem> ref =
+            testing_util::ReferenceTopK(catalog, want, 5);
+        testing_util::ExpectSameRanking(compiled.TopKAll(ex, 5), ref,
+                                        where + " TopKAll");
         for (size_t shards : {1u, 3u}) {
-          serve::ShardedPredictorOptions sopts;
-          sopts.num_shards = shards;
-          sopts.micro_batch = 4;
-          serve::ShardedPredictor sharded(&compiled, sopts);
-          const std::vector<serve::ScoredItem> top = sharded.TopKAll(ex, 5);
-          ASSERT_EQ(top.size(), ref.size()) << where;
-          for (size_t i = 0; i < top.size(); ++i) {
-            EXPECT_EQ(top[i].item, ref[i].item)
-                << where << " shards=" << shards << " rank=" << i;
-            EXPECT_EQ(std::memcmp(&top[i].score, &ref[i].score,
-                                  sizeof(float)),
-                      0)
-                << where << " shards=" << shards << " rank=" << i;
+          const std::vector<size_t> bounds =
+              serve::ShardBounds(catalog.size(), shards);
+          std::vector<serve::ScoreJob> jobs;
+          for (size_t s = 0; s < shards; ++s) {
+            jobs.push_back({&ex, &catalog, bounds[s], bounds[s + 1], 5});
           }
+          serve::LocalShardBackend backend(&compiled);
+          std::vector<std::vector<serve::RankEntry>> runs;
+          ASSERT_TRUE(backend.ScoreTopK(jobs, &runs).ok()) << where;
+          testing_util::ExpectSameRanking(
+              serve::MergeSortedRuns(runs, 5), ref,
+              where + " shards=" + std::to_string(shards));
         }
       }
     }
@@ -741,6 +746,33 @@ TEST(CompiledLifecycleTest, CheckpointReloadRecompilesTheProgram) {
   ExpectBitEqual(got.data(), want.value().data(), got.size(),
                  "post-reload parity");
   std::remove(path.c_str());
+}
+
+TEST(CompiledLifecycleTest, RecompilesFreeFramesOfDestroyedPrograms) {
+  // Every recompile (here InvalidateContextCache; equally ReloadCheckpoint
+  // or a new Predictor) retires the old engine's programs. Their per-thread
+  // execution frames must go with them, or each recompile leaves a full set
+  // of frame blocks resident on every thread that scored through them.
+  util::SetGlobalThreads(1);  // every frame lives on this thread
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto model = MakeModelByName("SeqFM", space);
+  serve::PredictorOptions opts;
+  opts.micro_batch = 4;  // chunks of 4, 4, 1: two body counts per scan
+  serve::Predictor predictor(model.get(), &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  const data::SequenceExample ex = TestExamples()[0];
+
+  for (int round = 0; round < 24; ++round) {
+    predictor.InvalidateContextCache();
+    ASSERT_TRUE(predictor.compiled_active());
+    (void)predictor.ScoreCandidates(ex, catalog);
+    // The live programs: the engine's prologue plus one body per count.
+    const size_t live = 1 + predictor.engine()->stats().compiled_counts;
+    EXPECT_LE(ir::ThreadFrameCountForTest(), live) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 //     counters, byte budget, key discrimination, oversize entries;
 //   - cached factored scoring: bit-for-bit identical to the taped batched
 //     forward, stale-context invalidation after checkpoint reloads;
-//   - serve::BatchServer: fused multi-user waves equal to Predictor::TopK,
-//     concurrent submission, generic-model fallback, quiesced reloads;
+//   - serve::BatchServer: fused multi-user waves equal to the taped ranking
+//     oracle (tests/ranking_oracle.h), concurrent submission, generic-model
+//     fallback, quiesced reloads;
 //   - serving edge cases shared by all paths: empty candidate list, k == 0,
 //     k > catalog, duplicate candidates, empty/single-item histories.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -29,11 +29,16 @@
 #include "serve/context_cache.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
+#include "tests/ranking_oracle.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace seqfm {
 namespace {
+
+using testing_util::ExpectSameRanking;
+using testing_util::ReferenceTopK;
+using testing_util::TapedScores;
 
 constexpr size_t kSeqLen = 6;
 
@@ -61,28 +66,6 @@ std::vector<data::SequenceExample> TestExamples() {
   examples[4] = {0, 2, 1.0f, {1, 2, 3, 0, 5, 6, 7, 8}};  // same ctx as [0]
   examples[5] = {2, 1, 0.5f, {5, 5}};        // same user as [1], new history
   return examples;
-}
-
-/// Taped reference: Model::Score over the same micro-batching the serving
-/// paths use — the bit-for-bit ground truth.
-std::vector<float> TapedScores(core::Model* model,
-                               const data::BatchBuilder& builder,
-                               const data::SequenceExample& ex,
-                               const std::vector<int32_t>& candidates,
-                               size_t batch_size = 4) {
-  std::vector<float> scores;
-  for (size_t start = 0; start < candidates.size(); start += batch_size) {
-    const size_t end = std::min(candidates.size(), start + batch_size);
-    std::vector<const data::SequenceExample*> repeated(end - start, &ex);
-    std::vector<int32_t> chunk(candidates.begin() + start,
-                               candidates.begin() + end);
-    data::Batch batch = builder.Build(repeated, &chunk);
-    autograd::Variable out = model->Score(batch, /*training=*/false);
-    for (size_t i = 0; i < end - start; ++i) {
-      scores.push_back(out.value().data()[i]);
-    }
-  }
-  return scores;
 }
 
 std::vector<int32_t> FullCatalog(const data::FeatureSpace& space) {
@@ -334,15 +317,9 @@ TEST(CachedPredictorTest, TopKAllUsesPrebuiltCatalog) {
   serve::Predictor predictor(&model, &builder, {});
   const auto ex = TestExamples()[3];
 
-  const auto via_all = predictor.TopKAll(ex, 4);
-  const auto via_manual = predictor.TopK(ex, FullCatalog(space), 4);
-  ASSERT_EQ(via_all.size(), via_manual.size());
-  for (size_t i = 0; i < via_all.size(); ++i) {
-    EXPECT_EQ(via_all[i].item, via_manual[i].item);
-    EXPECT_EQ(std::memcmp(&via_all[i].score, &via_manual[i].score,
-                          sizeof(float)),
-              0);
-  }
+  const auto want = ReferenceTopK(&model, builder, ex, FullCatalog(space), 4);
+  ExpectSameRanking(predictor.TopKAll(ex, 4), want, "TopKAll");
+  ExpectSameRanking(predictor.TopK(ex, FullCatalog(space), 4), want, "TopK");
 }
 
 // ---------------------------------------------------------------------------
@@ -384,23 +361,15 @@ TEST(ServingEdgeCaseTest, DuplicateCandidatesKeepBothSlots) {
   int fives = 0;
   for (const auto& item : top) fives += (item.item == 5);
   EXPECT_EQ(fives, 3);
-}
-
-TEST(ServingEdgeCaseTest, SelectTopKNaNsSortLast) {
-  const std::vector<int32_t> candidates = {10, 11, 12};
-  const std::vector<float> scores = {std::nanf(""), 2.0f, 1.0f};
-  const auto top = serve::SelectTopK(candidates, scores, 3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].item, 11);
-  EXPECT_EQ(top[1].item, 12);
-  EXPECT_EQ(top[2].item, 10);
+  ExpectSameRanking(top, ReferenceTopK(&model, builder, ex, dupes, 4),
+                    "duplicate candidates");
 }
 
 // ---------------------------------------------------------------------------
 // BatchServer
 // ---------------------------------------------------------------------------
 
-TEST(BatchServerTest, WaveResultsMatchPredictorTopK) {
+TEST(BatchServerTest, WaveResultsMatchTapedOracle) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
@@ -411,7 +380,6 @@ TEST(BatchServerTest, WaveResultsMatchPredictorTopK) {
   opts.micro_batch = 4;
   opts.context_cache_bytes = 1 << 20;
   serve::Predictor predictor(&model, &builder, opts);
-  serve::Predictor reference(&model, &builder, {});  // uncached, unfused
 
   for (size_t threads : {1u, 2u}) {
     util::SetGlobalThreads(threads);
@@ -426,16 +394,11 @@ TEST(BatchServerTest, WaveResultsMatchPredictorTopK) {
       }
     }
     for (size_t i = 0; i < futures.size(); ++i) {
-      const auto got = futures[i].get();
-      const auto want =
-          reference.TopK(examples[i % examples.size()], catalog, ks[i]);
-      ASSERT_EQ(got.size(), want.size()) << "request " << i;
-      for (size_t j = 0; j < got.size(); ++j) {
-        EXPECT_EQ(got[j].item, want[j].item) << "request " << i;
-        EXPECT_EQ(std::memcmp(&got[j].score, &want[j].score, sizeof(float)),
-                  0)
-            << "request " << i;
-      }
+      ExpectSameRanking(futures[i].get(),
+                        ReferenceTopK(&model, builder,
+                                      examples[i % examples.size()], catalog,
+                                      ks[i]),
+                        "request " + std::to_string(i));
     }
     const auto stats = server.stats();
     EXPECT_EQ(stats.requests_admitted, futures.size());
@@ -462,14 +425,12 @@ TEST(BatchServerTest, ServesEdgeCaseRequests) {
   EXPECT_TRUE(empty.get().empty());
   EXPECT_TRUE(zero_k.get().empty());
   EXPECT_EQ(clamped.get().size(), 2u);
-  const auto dupe_top = dupes.get();
-  ASSERT_EQ(dupe_top.size(), 3u);
-  const auto want = predictor.TopK(examples[1], {0, 4, 8}, 2);
-  const auto got = single_history.get();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t j = 0; j < got.size(); ++j) {
-    EXPECT_EQ(got[j].item, want[j].item);
-  }
+  ExpectSameRanking(dupes.get(),
+                    ReferenceTopK(&model, builder, examples[3], {5, 5, 3}, 3),
+                    "duplicate ids");
+  ExpectSameRanking(single_history.get(),
+                    ReferenceTopK(&model, builder, examples[1], {0, 4, 8}, 2),
+                    "single-item history");
 }
 
 TEST(BatchServerTest, ConcurrentSubmittersAllGetCorrectResults) {
@@ -482,12 +443,11 @@ TEST(BatchServerTest, ConcurrentSubmittersAllGetCorrectResults) {
   serve::PredictorOptions opts;
   opts.context_cache_bytes = 1 << 20;
   serve::Predictor predictor(&model, &builder, opts);
-  serve::Predictor reference(&model, &builder, {});
 
-  // Precompute references single-threaded (reference shares the model).
+  // Precompute references single-threaded (the oracle shares the model).
   std::vector<std::vector<serve::ScoredItem>> want;
   for (const auto& ex : examples) {
-    want.push_back(reference.TopK(ex, catalog, 3));
+    want.push_back(ReferenceTopK(&model, builder, ex, catalog, 3));
   }
 
   util::SetGlobalThreads(2);
@@ -538,13 +498,9 @@ TEST(BatchServerTest, GenericModelsServeThroughTheSameQueue) {
   serve::BatchServer server(&predictor, {});
 
   for (const auto& ex : TestExamples()) {
-    const auto got = server.Submit(ex, catalog, 4).get();
-    const auto want = predictor.TopK(ex, catalog, 4);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t j = 0; j < got.size(); ++j) {
-      EXPECT_EQ(got[j].item, want[j].item);
-      EXPECT_EQ(std::memcmp(&got[j].score, &want[j].score, sizeof(float)), 0);
-    }
+    ExpectSameRanking(server.Submit(ex, catalog, 4).get(),
+                      ReferenceTopK(fm.get(), builder, ex, catalog, 4),
+                      "user " + std::to_string(ex.user));
   }
 }
 
@@ -568,13 +524,8 @@ TEST(BatchServerTest, ReloadCheckpointServesNewParameters) {
   ASSERT_TRUE(server.ReloadCheckpoint(path).ok());
   const auto got = server.Submit(ex, catalog, 3).get();
 
-  const auto ref = TapedScores(&other, builder, ex, catalog);
-  const auto want = serve::SelectTopK(catalog, ref, 3);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t j = 0; j < got.size(); ++j) {
-    EXPECT_EQ(got[j].item, want[j].item);
-    EXPECT_EQ(std::memcmp(&got[j].score, &want[j].score, sizeof(float)), 0);
-  }
+  ExpectSameRanking(got, ReferenceTopK(&other, builder, ex, catalog, 3),
+                    "after reload");
   std::remove(path.c_str());
 }
 

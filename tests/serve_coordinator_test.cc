@@ -4,10 +4,10 @@
 //   - fleet validation in Ready(): empty fleet, model-version mismatch,
 //     partition mismatch, non-canonical slice bounds, uncovered shard —
 //     each refused with a FailedPrecondition naming the inconsistency;
-//   - coordinator top-K over LocalShardBackends bit-identical to
-//     single-process Predictor::TopKAll / ShardedPredictor::TopKAll for
-//     shard counts {1, 2, 3}, tie-forced catalogs, and k <, ==, > catalog
-//     (including k greater than every shard's slice);
+//   - coordinator top-K over LocalShardBackends bit-identical to the taped
+//     ranking oracle (tests/ranking_oracle.h) and to single-process
+//     Predictor::TopKAll for shard counts {1, 2, 3}, tie-forced catalogs,
+//     and k <, ==, > catalog (including k greater than every shard's slice);
 //   - degradation: a failing replica yields PARTIAL with the healthy
 //     shards' exact merge; a replicated shard fails over and stays OK; a
 //     fully failed fleet yields the empty PARTIAL result, never a hang;
@@ -34,11 +34,15 @@
 #include "serve/rpc_server.h"
 #include "serve/server.h"
 #include "serve/shard.h"
+#include "tests/ranking_oracle.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
 namespace seqfm {
 namespace {
+
+using testing_util::ExpectSameRanking;
+using testing_util::ReferenceTopK;
 
 constexpr size_t kSeqLen = 6;
 
@@ -80,21 +84,10 @@ void ForceScoreTie(core::SeqFm* model, const data::FeatureSpace& space,
   w_static.mutable_value().data()[rb] = w_static.value().data()[ra];
 }
 
-void ExpectSameRanking(const std::vector<serve::ScoredItem>& got,
-                       const std::vector<serve::ScoredItem>& want,
-                       const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].item, want[i].item) << context << " rank " << i;
-    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(float)), 0)
-        << context << " rank " << i;
-  }
-}
-
 serve::ReplicaInfo InfoForShard(uint32_t shard, uint32_t num_shards,
                                 size_t catalog, uint64_t version) {
   const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(catalog, num_shards);
+      serve::ShardBounds(catalog, num_shards);
   serve::ReplicaInfo info;
   info.shard_index = shard;
   info.num_shards = num_shards;
@@ -161,6 +154,17 @@ class CoordinatorFleetTest : public ::testing::Test {
     }
     EXPECT_TRUE(coord->Ready().ok());
     return coord;
+  }
+
+  /// The taped oracle's full-catalog top-k — what every healthy fleet must
+  /// answer, bit for bit.
+  std::vector<serve::ScoredItem> Oracle(const data::SequenceExample& ex,
+                                        size_t k) {
+    std::vector<int32_t> catalog(space_.num_objects());
+    for (size_t i = 0; i < catalog.size(); ++i) {
+      catalog[i] = static_cast<int32_t>(i);
+    }
+    return ReferenceTopK(&model_, builder_, ex, catalog, k);
   }
 
   data::FeatureSpace space_;
@@ -273,8 +277,7 @@ TEST_F(CoordinatorFleetTest, TopKAllMatchesSingleProcessForAllShardCounts) {
       // k below, at, and beyond the catalog; 5 > every 3-shard slice (3).
       for (size_t k : {1ul, 5ul, space_.num_objects(),
                        space_.num_objects() + 4}) {
-        const std::vector<serve::ScoredItem> want =
-            predictor_->TopKAll(ex, k);
+        const std::vector<serve::ScoredItem> want = Oracle(ex, k);
         serve::CoordinatorResult result;
         ASSERT_TRUE(coord->TopKAll(ex, k, &result).ok());
         EXPECT_EQ(result.status, serve::RpcStatus::kOk);
@@ -289,17 +292,16 @@ TEST_F(CoordinatorFleetTest, TopKAllMatchesSingleProcessForAllShardCounts) {
   }
 }
 
-TEST_F(CoordinatorFleetTest, TopKAllMatchesShardedPredictor) {
-  serve::ShardedPredictorOptions sp_opts;
-  sp_opts.num_shards = 3;
-  serve::ShardedPredictor sharded(predictor_.get(), sp_opts);
+TEST_F(CoordinatorFleetTest, TopKAllMatchesSingleProcessPredictor) {
   auto coord = LocalFleet(3);
   for (const auto& ex : TestExamples()) {
-    const std::vector<serve::ScoredItem> want = sharded.TopKAll(ex, 6);
+    const std::vector<serve::ScoredItem> want = Oracle(ex, 6);
+    ExpectSameRanking(predictor_->TopKAll(ex, 6), want,
+                      "Predictor user=" + std::to_string(ex.user));
     serve::CoordinatorResult result;
     ASSERT_TRUE(coord->TopKAll(ex, 6, &result).ok());
     ExpectSameRanking(result.items, want,
-                      "vs ShardedPredictor user=" + std::to_string(ex.user));
+                      "coordinator user=" + std::to_string(ex.user));
   }
 }
 
@@ -333,26 +335,20 @@ TEST_F(CoordinatorFleetTest, FailedShardDegradesToPartialMergeOfTheRest) {
   EXPECT_EQ(result.shards_total, shards);
   EXPECT_EQ(result.shards_merged, shards - 1);
 
-  // The degraded answer is the EXACT merge of the healthy shards — shard 1
-  // contributes an empty run, nothing else moves.
+  // The degraded answer is the EXACT top-k of the healthy shards' slices —
+  // shard 1 contributes nothing, nothing else moves.
   const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(space_.num_objects(), shards);
-  serve::LocalShardBackend local(predictor_.get());
-  std::vector<serve::ScoreJob> jobs;
+      serve::ShardBounds(space_.num_objects(), shards);
+  std::vector<int32_t> healthy;
   for (uint32_t s = 0; s < shards; ++s) {
     if (s == 1) continue;
-    serve::ScoreJob job;
-    job.ex = &ex;
-    job.begin = bounds[s];
-    job.end = bounds[s + 1];
-    job.k = std::min(k, job.end - job.begin);
-    jobs.push_back(job);
+    for (size_t id = bounds[s]; id < bounds[s + 1]; ++id) {
+      healthy.push_back(static_cast<int32_t>(id));
+    }
   }
-  std::vector<std::vector<serve::RankEntry>> runs;
-  ASSERT_TRUE(local.ScoreTopK(jobs, &runs).ok());
-  const std::vector<serve::ScoredItem> want =
-      serve::MergeSortedRuns(runs, k);
-  ExpectSameRanking(result.items, want, "healthy-shard merge");
+  ExpectSameRanking(result.items,
+                    ReferenceTopK(&model_, builder_, ex, healthy, k),
+                    "healthy-shard merge");
 }
 
 TEST_F(CoordinatorFleetTest, ReplicatedShardFailsOverAndStaysOk) {
@@ -382,7 +378,7 @@ TEST_F(CoordinatorFleetTest, ReplicatedShardFailsOverAndStaysOk) {
     EXPECT_EQ(result.status, serve::RpcStatus::kOk)
         << "failover must keep the request whole";
     EXPECT_EQ(result.shards_merged, 2u);
-    ExpectSameRanking(result.items, predictor_->TopKAll(ex, 4),
+    ExpectSameRanking(result.items, Oracle(ex, 4),
                       "failover parity user=" + std::to_string(ex.user));
   }
 }
@@ -467,7 +463,7 @@ TEST_F(CoordinatorFleetTest, CoordinatorOverTcpReplicasMatchesLocalServing) {
 
   for (const auto& ex : TestExamples()) {
     for (size_t k : {1ul, 4ul, space_.num_objects()}) {
-      const std::vector<serve::ScoredItem> want = predictor_->TopKAll(ex, k);
+      const std::vector<serve::ScoredItem> want = Oracle(ex, k);
       serve::CoordinatorResult result;
       ASSERT_TRUE(coord.TopKAll(ex, k, &result).ok());
       EXPECT_EQ(result.status, serve::RpcStatus::kOk);
@@ -552,7 +548,7 @@ TEST_F(CoordinatorFleetTest, CircuitBreakerEjectsProbesAndReadmits) {
     serve::CoordinatorResult result;
     ASSERT_TRUE(coord.TopKAll(ex, 4, &result).ok());
     EXPECT_EQ(result.status, serve::RpcStatus::kOk);
-    ExpectSameRanking(result.items, predictor_->TopKAll(ex, 4),
+    ExpectSameRanking(result.items, Oracle(ex, 4),
                       "probe readmission");
     const serve::CoordinatorStats cs = coord.stats();
     EXPECT_EQ(cs.half_open_probes, 2u);
@@ -653,7 +649,7 @@ TEST_F(CoordinatorFleetTest, SlowReplicaTimesOutIsEjectedAndFailsOver) {
   // The failover saved the request: OK, bit-identical, and bounded — one io
   // timeout plus the healthy twin's work, nowhere near a hang.
   EXPECT_EQ(result.status, serve::RpcStatus::kOk);
-  ExpectSameRanking(result.items, predictor_->TopKAll(ex, 4),
+  ExpectSameRanking(result.items, Oracle(ex, 4),
                     "slow-replica failover");
   EXPECT_LT(elapsed.count(), 5000);
   EXPECT_EQ(util::FailPoint::Stats("rpc.server.shard.drop").failures, 1u);
@@ -668,7 +664,7 @@ TEST_F(CoordinatorFleetTest, SlowReplicaTimesOutIsEjectedAndFailsOver) {
   serve::CoordinatorResult next;
   ASSERT_TRUE(coord.TopKAll(ex, 4, &next).ok());
   EXPECT_EQ(next.status, serve::RpcStatus::kOk);
-  ExpectSameRanking(next.items, predictor_->TopKAll(ex, 4), "post-ejection");
+  ExpectSameRanking(next.items, Oracle(ex, 4), "post-ejection");
   {
     const serve::CoordinatorStats cs = coord.stats();
     EXPECT_EQ(cs.retries, 1u);

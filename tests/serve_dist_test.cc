@@ -3,9 +3,10 @@
 // serve::Coordinator fanning out over TCP, and bit-identity against the
 // single-process reference:
 //   - for 1, 2 and 3 replica processes over the same checkpoint, the
-//     coordinator's merged top-K equals ShardedPredictor::TopKAll (and
-//     Predictor::TopKAll) bit for bit — tie-heavy catalog included, raw
-//     score bits crossing process boundaries untouched;
+//     coordinator's merged top-K equals the taped ranking oracle
+//     (tests/ranking_oracle.h) and Predictor::TopKAll bit for bit —
+//     tie-heavy catalog included, raw score bits crossing process
+//     boundaries untouched;
 //   - k larger than every shard's slice still merges exactly;
 //   - SIGKILLing one replica degrades that fleet to PARTIAL with the
 //     healthy shards' exact merge — bounded by the replica timeout, the
@@ -26,12 +27,15 @@
 #include "serve/coordinator.h"
 #include "serve/predictor.h"
 #include "serve/shard.h"
+#include "tests/ranking_oracle.h"
 #include "tests/replica_process.h"
 #include "util/logging.h"
 
 namespace seqfm {
 namespace {
 
+using testing_util::ExpectSameRanking;
+using testing_util::ReferenceTopK;
 using testing_util::ReplicaProcess;
 using testing_util::ReplicaProcessConfig;
 
@@ -77,17 +81,6 @@ void ForceScoreTie(core::SeqFm* model, const data::FeatureSpace& space,
   std::memcpy(rows + rb * dim, rows + ra * dim, dim * sizeof(float));
   autograd::Variable w_static = view.w_static;
   w_static.mutable_value().data()[rb] = w_static.value().data()[ra];
-}
-
-void ExpectSameRanking(const std::vector<serve::ScoredItem>& got,
-                       const std::vector<serve::ScoredItem>& want,
-                       const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].item, want[i].item) << context << " rank " << i;
-    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(float)), 0)
-        << context << " rank " << i;
-  }
 }
 
 std::string TempPath(const std::string& name) {
@@ -141,12 +134,16 @@ class DistServingTest : public ::testing::Test {
     SEQFM_CHECK(
         serve::Checkpoint::Load(&model_, SharedCheckpoint()).ok());
     predictor_ = std::make_unique<serve::Predictor>(&model_, &builder_);
+    for (size_t i = 0; i < kItems; ++i) {
+      catalog_.push_back(static_cast<int32_t>(i));
+    }
   }
 
   data::FeatureSpace space_;
   data::BatchBuilder builder_;
   core::SeqFm model_;
   std::unique_ptr<serve::Predictor> predictor_;
+  std::vector<int32_t> catalog_;  // the identity catalog [0, kItems)
 };
 
 TEST_F(DistServingTest, CoordinatorMatchesSingleProcessForAllFleetSizes) {
@@ -164,10 +161,6 @@ TEST_F(DistServingTest, CoordinatorMatchesSingleProcessForAllFleetSizes) {
     ASSERT_TRUE(coord.Ready().ok());
     EXPECT_EQ(coord.model_version(), serve::ParameterVersion(model_));
 
-    serve::ShardedPredictorOptions sp_opts;
-    sp_opts.num_shards = shards;
-    serve::ShardedPredictor sharded(predictor_.get(), sp_opts);
-
     for (const auto& ex : TestExamples()) {
       // k = 5 exceeds every 3-shard slice (size 3); k = kItems + 3 exceeds
       // the whole catalog.
@@ -179,8 +172,9 @@ TEST_F(DistServingTest, CoordinatorMatchesSingleProcessForAllFleetSizes) {
         const std::string ctx = "shards=" + std::to_string(shards) +
                                 " user=" + std::to_string(ex.user) +
                                 " k=" + std::to_string(k);
-        ExpectSameRanking(result.items, sharded.TopKAll(ex, k),
-                          ctx + " vs ShardedPredictor");
+        ExpectSameRanking(result.items,
+                          ReferenceTopK(&model_, builder_, ex, catalog_, k),
+                          ctx + " vs taped oracle");
         ExpectSameRanking(result.items, predictor_->TopKAll(ex, k),
                           ctx + " vs Predictor");
       }
@@ -215,23 +209,17 @@ TEST_F(DistServingTest, KilledReplicaDegradesToPartialMergeOfSurvivors) {
   EXPECT_EQ(degraded.shards_total, shards);
   EXPECT_EQ(degraded.shards_merged, shards - 1);
 
-  // The survivors' merge, computed in-process from the same parameters.
-  const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(kItems, shards);
-  serve::LocalShardBackend local(predictor_.get());
-  std::vector<serve::ScoreJob> jobs;
+  // The survivors' exact top-k: the taped oracle over their slices.
+  const std::vector<size_t> bounds = serve::ShardBounds(kItems, shards);
+  std::vector<int32_t> survivors;
   for (uint32_t s = 0; s < shards; ++s) {
     if (s == 1) continue;
-    serve::ScoreJob job;
-    job.ex = &ex;
-    job.begin = bounds[s];
-    job.end = bounds[s + 1];
-    job.k = std::min(k, job.end - job.begin);
-    jobs.push_back(job);
+    for (size_t id = bounds[s]; id < bounds[s + 1]; ++id) {
+      survivors.push_back(static_cast<int32_t>(id));
+    }
   }
-  std::vector<std::vector<serve::RankEntry>> runs;
-  ASSERT_TRUE(local.ScoreTopK(jobs, &runs).ok());
-  ExpectSameRanking(degraded.items, serve::MergeSortedRuns(runs, k),
+  ExpectSameRanking(degraded.items,
+                    ReferenceTopK(&model_, builder_, ex, survivors, k),
                     "survivor merge");
 }
 
