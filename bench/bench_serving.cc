@@ -243,12 +243,6 @@ int Run(int argc, char** argv) {
   serve::PredictorOptions cached_opts = compiled_opts;
   cached_opts.context_cache_bytes = cache_mb << 20;
   serve::Predictor cached(model.get(), prep.builder.get(), cached_opts);
-  // Arena-off baseline: identical factored program, but every op output is
-  // an individual heap allocation (the pre-arena behavior).
-  serve::PredictorOptions noarena_opts = fast_opts;
-  noarena_opts.use_scratch_arena = false;
-  serve::Predictor fast_noarena(model.get(), prep.builder.get(),
-                                noarena_opts);
 
   std::printf("model=SeqFM dim=%zu seq-len=%zu | catalog=%zu candidates, "
               "%zu requests, batch=%zu | fast path %s, compiler %s, "
@@ -308,9 +302,6 @@ int Run(int argc, char** argv) {
     // The compiled op program against the taped forward — the compiled
     // on/off smoke CI leans on this gate.
     mismatches += CountMismatches(ref, compiled.ScoreCandidates(ex, catalog));
-    // Arena on/off must be invisible in the bits.
-    mismatches +=
-        CountMismatches(ref, fast_noarena.ScoreCandidates(ex, catalog));
     // Cached path twice: the cold pass fills the cache, the warm pass must
     // serve the memoized context with identical bits.
     cached.InvalidateContextCache();
@@ -428,11 +419,6 @@ int Run(int argc, char** argv) {
         MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
           (void)fast.ScoreCandidates(examples[r % examples.size()], catalog);
         });
-    const PathStats factored_noarena =
-        MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)fast_noarena.ScoreCandidates(examples[r % examples.size()],
-                                             catalog);
-        });
     const PathStats compiled_path =
         MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
           (void)compiled.ScoreCandidates(examples[r % examples.size()],
@@ -449,23 +435,16 @@ int Run(int argc, char** argv) {
     };
     print_row("taped forward (batch)", "b", taped);
     print_row("tape-free forward (batch)", "rq", tape_free);
-    print_row("factored, arena OFF", "rq", factored_noarena);
     print_row("factored catalog (request)", "rq", factored);
     print_row("compiled op program (request)", "rq", compiled_path);
-    std::printf("            arena speedup on the factored path: %.2fx\n",
-                factored.scores_per_sec / factored_noarena.scores_per_sec);
     if (threads == thread_counts.front()) {
       json.Add("threads", static_cast<double>(threads));
       json.Add("catalog", static_cast<double>(num_candidates));
       json.Add("taped_scores_per_sec", taped.scores_per_sec);
       json.Add("tape_free_scores_per_sec", tape_free.scores_per_sec);
       json.Add("factored_scores_per_sec", factored.scores_per_sec);
-      json.Add("factored_noarena_scores_per_sec",
-               factored_noarena.scores_per_sec);
       json.Add("factored_speedup_vs_taped",
                factored.scores_per_sec / taped.scores_per_sec);
-      json.Add("arena_speedup",
-               factored.scores_per_sec / factored_noarena.scores_per_sec);
       json.Add("factored_p50_ms", factored.p50_ms);
       json.Add("factored_p99_ms", factored.p99_ms);
       json.Add("compiled_scores_per_sec", compiled_path.scores_per_sec);

@@ -162,15 +162,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(waves.waves),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses));
-  // The scratch arenas behind the tape-free forwards: after the first
-  // request at a shape, heap_refills stops moving — steady-state serving
-  // performs zero tensor heap allocations.
-  std::printf("scratch arenas: %llu bump allocations over %llu heap refills, "
-              "%.1f KiB reserved, %.1f KiB request high-water\n",
-              static_cast<unsigned long long>(waves.scratch.allocations),
-              static_cast<unsigned long long>(waves.scratch.heap_refills),
-              static_cast<double>(waves.scratch.bytes_reserved) / 1024.0,
-              static_cast<double>(waves.scratch.high_water) / 1024.0);
 
   // The same ranking path works without a server: Predictor::TopKAll ranks
   // the whole POI catalog through the same bounded top-K and merge the

@@ -26,8 +26,6 @@ Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
 /// c = alpha * a.
 Variable Scale(const Variable& a, float alpha);
-/// c = a + alpha (elementwise scalar shift).
-Variable AddScalar(const Variable& a, float alpha);
 /// Broadcast-add a rank-1 bias over the last dimension of x.
 Variable AddBias(const Variable& x, const Variable& bias);
 /// Broadcast-add a rank-2 [n, d] table over the batch dim of x [B, n, d]

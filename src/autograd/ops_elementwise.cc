@@ -1,4 +1,3 @@
-#include <cmath>
 
 #include "autograd/ops.h"
 #include "autograd/ops_common.h"
@@ -76,15 +75,7 @@ Variable Mul(const Variable& a, const Variable& b) {
 
 Variable Scale(const Variable& a, float alpha) {
   Tensor out = internal::OutputBuffer(a.value().shape());
-  {
-    const float* x = a.value().data();
-    float* y = out.data();
-    const size_t n = out.size();
-    const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-    util::ParallelFor(n, internal::kEwGrain, [=, &kt](size_t i0, size_t i1) {
-      kt.scale(alpha, x + i0, y + i0, i1 - i0);
-    });
-  }
+  tensor::Scale(a.value(), alpha, &out);
   TraceAttrs attrs;
   attrs.alpha = alpha;
   auto node = MakeNode("scale", {a.node()}, std::move(out), &attrs);
@@ -95,24 +86,6 @@ Variable Scale(const Variable& a, float alpha) {
       p->EnsureGrad();
       p->grad.AddScaled(self->grad, alpha);
     }
-  };
-  return Variable(node);
-}
-
-Variable AddScalar(const Variable& a, float alpha) {
-  Tensor out = internal::OutputBuffer(a.value().shape());
-  {
-    const float* x = a.value().data();
-    float* y = out.data();
-    for (size_t i = 0; i < out.size(); ++i) y[i] = x[i] + alpha;
-  }
-  TraceAttrs attrs;
-  attrs.alpha = alpha;
-  auto node = MakeNode("add_scalar", {a.node()}, std::move(out), &attrs);
-  Node* self = node.get();
-  if (node->requires_grad) node->backward_fn = [self]() {
-    Node* p = self->parents[0].get();
-    if (p->requires_grad) p->AccumulateGrad(self->grad);
   };
   return Variable(node);
 }
@@ -147,15 +120,7 @@ Variable AddBroadcastBatch(const Variable& x, const Variable& table) {
   SEQFM_CHECK_EQ(x.dim(2), table.dim(1));
   const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
   Tensor out = internal::OutputBuffer(x.value().shape());
-  const float* src = table.value().data();
-  util::ParallelFor(batch, internal::GrainForRows(rows * d, internal::kEwGrain),
-                    [&out, &x, src, rows, d](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      const float* xb = x.value().BatchData(b);
-      float* dst = out.BatchData(b);
-      for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
-    }
-  });
+  tensor::AddBroadcastBatch(x.value(), table.value(), &out);
   auto node =
       MakeNode("add_broadcast_batch", {x.node(), table.node()}, std::move(out));
   Node* self = node.get();

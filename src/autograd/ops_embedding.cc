@@ -1,5 +1,6 @@
 #include "autograd/ops.h"
 #include "autograd/ops_common.h"
+#include "tensor/ops.h"
 
 namespace seqfm {
 namespace autograd {
@@ -10,26 +11,12 @@ using tensor::Tensor;
 Variable EmbeddingGather(const Variable& table, const int32_t* indices,
                          size_t batch, size_t n) {
   SEQFM_CHECK_EQ(table.rank(), 2u);
-  const size_t vocab = table.dim(0), d = table.dim(1);
+  const size_t d = table.dim(1);
   const size_t count = batch * n;
   Tensor out = internal::OutputBuffer({batch, n, d});
-  const float* tv = table.value().data();
-  float* out_data = out.data();
-  // Gather rows are disjoint writes, so the index loop splits freely.
-  util::ParallelFor(count, internal::GrainForRows(d, internal::kEwGrain),
-                    [indices, out_data, tv, vocab, d](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      const int32_t idx = indices[i];
-      float* dst = out_data + i * d;
-      if (idx < 0) {  // padding -> zero row (output may be uninitialized)
-        for (size_t j = 0; j < d; ++j) dst[j] = 0.0f;
-        continue;
-      }
-      SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-      const float* src = tv + static_cast<size_t>(idx) * d;
-      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-    }
-  });
+  tensor::EmbeddingGather(
+      table.value(),
+      [indices, n](size_t b, size_t j) { return indices[b * n + j]; }, &out);
   TraceAttrs attrs;
   attrs.indices = indices;
   attrs.idx_batch = batch;
@@ -78,25 +65,11 @@ Variable EmbeddingGather(const Variable& table,
 
 Variable EmbeddingSumGather(const Variable& weights, const int32_t* indices,
                             size_t batch, size_t n) {
-  SEQFM_CHECK_EQ(weights.rank(), 2u);
-  SEQFM_CHECK_EQ(weights.dim(1), 1u);
-  const size_t vocab = weights.dim(0);
   Tensor out = internal::OutputBuffer({batch, 1});
-  const float* wv = weights.value().data();
-  float* out_data = out.data();
-  util::ParallelFor(batch, internal::GrainForRows(n, internal::kEwGrain),
-                    [indices, out_data, wv, vocab, n](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      float acc = 0.0f;
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t idx = indices[b * n + i];
-        if (idx < 0) continue;
-        SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-        acc += wv[idx];
-      }
-      out_data[b] = acc;
-    }
-  });
+  tensor::EmbeddingSumGather(
+      weights.value(),
+      [indices, n](size_t b, size_t j) { return indices[b * n + j]; }, n,
+      &out);
   TraceAttrs attrs;
   attrs.indices = indices;
   attrs.idx_batch = batch;

@@ -140,17 +140,10 @@ Variable Bmm(const Variable& a, const Variable& b, bool trans_a,
 Variable BmmLeftShared(const Variable& w, const Variable& p) {
   SEQFM_CHECK_EQ(w.rank(), 2u);
   SEQFM_CHECK_EQ(p.rank(), 3u);
-  SEQFM_CHECK_EQ(w.dim(1), p.dim(1));
   const size_t batch = p.dim(0);
   const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
   Tensor out = internal::OutputBuffer({batch, h2, d});
-  util::ParallelFor(batch, internal::GrainForRows(h2 * h * d, util::kMinParallelWork),
-                    [&, h2, h, d](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      tensor::Gemm(w.value().data(), p.value().BatchData(b), out.BatchData(b),
-                   h2, h, d, false, false, false);
-    }
-  });
+  tensor::BatchedMatMulLeftShared(w.value(), p.value(), &out);
   auto node = MakeNode("bmm_left_shared", {w.node(), p.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, h2, h, d]() {
@@ -184,20 +177,9 @@ Variable BmmLeftShared(const Variable& w, const Variable& p) {
 
 Variable RowDot(const Variable& a, const Variable& b) {
   SEQFM_CHECK_EQ(a.rank(), 2u);
-  SEQFM_CHECK(a.value().SameShape(b.value()));
   const size_t batch = a.dim(0), d = a.dim(1);
   Tensor out = internal::OutputBuffer({batch, 1});
-  const float* av = a.value().data();
-  const float* bv = b.value().data();
-  float* out_data = out.data();
-  // One dispatched lane-blocked dot per row.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-  util::ParallelFor(batch, internal::GrainForRows(d, internal::kEwGrain),
-                    [=, &kt](size_t i0, size_t i1) {
-    for (size_t i = i0; i < i1; ++i) {
-      out_data[i] = kt.dot(av + i * d, bv + i * d, d);
-    }
-  });
+  tensor::RowDot(a.value(), b.value(), &out);
   auto node = MakeNode("row_dot", {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, d]() {

@@ -28,7 +28,7 @@ namespace autograd {
 /// Per-op scalar attributes the tracer cannot derive from the recorded
 /// shapes. Ops fill only the fields that apply.
 struct TraceAttrs {
-  /// scale / add_scalar alpha; mean_axis1 records 1/divisor here.
+  /// scale alpha; mean_axis1 records 1/divisor here.
   float alpha = 0.0f;
   /// layer_norm epsilon.
   float eps = 0.0f;

@@ -1,7 +1,6 @@
 #include "core/seqfm.h"
 
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "autograd/ops.h"
@@ -159,23 +158,11 @@ namespace {
 /// pairs (Eq. 13) and, additionally, attention to dynamic padding keys.
 Variable MakePaddingAwareCrossMask(const std::vector<int32_t>& dynamic_ids,
                                    size_t batch, size_t ns, size_t nd) {
-  const float kNegInf = -std::numeric_limits<float>::infinity();
   const size_t n = ns + nd;
   Tensor mask({batch * n, n});
   for (size_t b = 0; b < batch; ++b) {
-    for (size_t i = 0; i < n; ++i) {
-      float* row = mask.data() + (b * n + i) * n;
-      const bool i_static = i < ns;
-      bool any_open = false;
-      for (size_t j = 0; j < n; ++j) {
-        const bool j_static = j < ns;
-        bool blocked = (i_static == j_static);
-        if (!j_static && dynamic_ids[b * nd + (j - ns)] < 0) blocked = true;
-        row[j] = blocked ? kNegInf : 0.0f;
-        any_open = any_open || !blocked;
-      }
-      if (!any_open) row[i] = 0.0f;
-    }
+    nn::CrossPaddingMaskBlock(dynamic_ids.data() + b * nd, ns, nd,
+                              mask.data() + b * n * n);
   }
   Variable v = Variable::Constant(std::move(mask));
   autograd::TraceAnnotateConstant(v, autograd::ConstantKind::kCrossPaddingMask);

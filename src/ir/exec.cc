@@ -1,7 +1,6 @@
 #include "ir/exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -9,21 +8,19 @@
 #include "ir/passes.h"
 #include "ir/trace.h"
 #include "ir/verify.h"
-#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/ordered_mutex.h"
-#include "util/thread_pool.h"
 
 namespace seqfm {
 namespace ir {
 
 // ---------------------------------------------------------------------------
-// EvalPure: one instruction, replicated from the eager forward it was traced
-// from. Every loop mirrors its src/autograd/ops_*.cc counterpart exactly —
-// same kernel-table calls, same ParallelFor grains, same serial reductions —
-// which is what makes compiled scores bit-identical to the taped forward at
-// every thread count and SIMD level.
+// EvalPure: one instruction, one call into the tensor:: forward its autograd
+// op runs (src/autograd/ops_*.cc calls the same function). Sharing the
+// function — its kernel-table calls, ParallelFor grains and reductions — is
+// what makes compiled scores bit-identical to the taped forward at every
+// thread count and SIMD level.
 // ---------------------------------------------------------------------------
 
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
@@ -38,41 +35,15 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kMul:
       tensor::Mul(*in[0], *in[1], out);
       return true;
-    case OpKind::kScale: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const size_t n = out->size();
-      const float alpha = instr.alpha;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(n, util::kEwGrain, [=, &kt](size_t i0, size_t i1) {
-        kt.scale(alpha, x + i0, y + i0, i1 - i0);
-      });
+    case OpKind::kScale:
+      tensor::Scale(*in[0], instr.alpha, out);
       return true;
-    }
-    case OpKind::kAddScalar: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const float alpha = instr.alpha;
-      for (size_t i = 0; i < out->size(); ++i) y[i] = x[i] + alpha;
-      return true;
-    }
     case OpKind::kAddBias:
       tensor::AddBiasLastDim(*in[0], *in[1], out);
       return true;
-    case OpKind::kAddBroadcastBatch: {
-      const tensor::Tensor& x = *in[0];
-      const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
-      const float* src = in[1]->data();
-      util::ParallelFor(batch, util::GrainForRows(rows * d, util::kEwGrain),
-                        [out, &x, src, rows, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          const float* xb = x.BatchData(b);
-          float* dst = out->BatchData(b);
-          for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
-        }
-      });
+    case OpKind::kAddBroadcastBatch:
+      tensor::AddBroadcastBatch(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kRelu:
       tensor::Relu(*in[0], out);
       return true;
@@ -91,157 +62,46 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kBmm:
       tensor::BatchedMatMul(*in[0], *in[1], out, instr.trans_a, instr.trans_b);
       return true;
-    case OpKind::kBmmLeftShared: {
-      const tensor::Tensor& w = *in[0];
-      const tensor::Tensor& p = *in[1];
-      const size_t batch = p.dim(0);
-      const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
-      util::ParallelFor(batch,
-                        util::GrainForRows(h2 * h * d, util::kMinParallelWork),
-                        [&, h2, h, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          tensor::Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d,
-                       false, false, false);
-        }
-      });
+    case OpKind::kBmmLeftShared:
+      tensor::BatchedMatMulLeftShared(*in[0], *in[1], out);
       return true;
-    }
-    case OpKind::kRowDot: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(1);
-      const float* av = in[0]->data();
-      const float* bv = in[1]->data();
-      float* out_data = out->data();
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(batch, util::GrainForRows(d, util::kEwGrain),
-                        [=, &kt](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-          out_data[i] = kt.dot(av + i * d, bv + i * d, d);
-        }
-      });
+    case OpKind::kRowDot:
+      tensor::RowDot(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kMaskedSoftmax:
       tensor::SoftmaxLastDim(*in[0], in.size() > 1 ? in[1] : nullptr, out);
       return true;
-    case OpKind::kLayerNorm: {
-      const size_t d = in[0]->shape().back();
-      const size_t rows = in[0]->size() / d;
-      const float* xv = in[0]->data();
-      const float* gv = in[1]->data();
-      const float* bv = in[2]->data();
-      float* out_data = out->data();
-      const float eps = instr.eps;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(rows, util::GrainForRows(d, util::kMathGrain),
-                        [=, &kt](size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r) {
-          const float* xr = xv + r * d;
-          const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
-          const float var =
-              kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
-          const float is = 1.0f / std::sqrt(var + eps);
-          kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
-                            nullptr);
-        }
-      });
+    case OpKind::kLayerNorm:
+      tensor::LayerNorm(*in[0], *in[1], *in[2], instr.eps, out);
       return true;
-    }
-    case OpKind::kConcatLast: {
-      const size_t batch = out->dim(0), total = out->dim(1);
-      size_t offset = 0;
-      for (const tensor::Tensor* p : in) {
-        const size_t d = p->dim(1);
-        for (size_t b = 0; b < batch; ++b) {
-          const float* src = p->data() + b * d;
-          float* dst = out->data() + b * total + offset;
-          for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-        }
-        offset += d;
-      }
+    case OpKind::kConcatLast:
+      tensor::ConcatLastDim(in, out);
       return true;
-    }
-    case OpKind::kConcatAxis1: {
-      const size_t batch = in[0]->dim(0), na = in[0]->dim(1),
-                   nb = in[1]->dim(1), d = in[0]->dim(2);
-      for (size_t i = 0; i < batch; ++i) {
-        float* dst = out->BatchData(i);
-        const float* sa = in[0]->BatchData(i);
-        const float* sb = in[1]->BatchData(i);
-        for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
-        for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
-      }
+    case OpKind::kConcatAxis1:
+      tensor::ConcatAxis1(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kReduceAxis1:
       tensor::SumAxis1(*in[0], instr.alpha, out);
       return true;
-    case OpKind::kSliceRow: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(2);
-      const size_t row = instr.row;
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b) + row * d;
-        float* dst = out->data() + b * d;
-        for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-      }
+    case OpKind::kSliceRow:
+      tensor::SliceRow(*in[0], instr.row, out);
       return true;
-    }
     case OpKind::kSumLast:
       tensor::SumLastDim(*in[0], out);
       return true;
-    case OpKind::kReshape: {
-      if (out->data() == in[0]->data()) return true;  // fused: copy elided
-      const float* src = in[0]->data();
-      float* dst = out->data();
-      const size_t n = out->size();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+    case OpKind::kReshape:
+      // Fused (aliased onto its input): the copy is elided.
+      if (out->data() != in[0]->data()) tensor::CopyFlat(*in[0], out);
       return true;
-    }
-    case OpKind::kExpandRows: {
-      const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->data() + b * d;
-        float* dst = out->BatchData(b);
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
-        }
-      }
+    case OpKind::kExpandRows:
+      tensor::ExpandRows(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseUpper: {
-      const size_t batch = in[0]->dim(0), n = in[0]->dim(1), d = in[0]->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b);
-        float* dst = out->BatchData(b);
-        size_t p = 0;
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = i + 1; j < n; ++j, ++p) {
-            const float* xi = src + i * d;
-            const float* xj = src + j * d;
-            float* row = dst + p * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseUpper:
+      tensor::PairwiseProductUpper(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseCross: {
-      const size_t batch = in[0]->dim(0), h = in[0]->dim(1),
-                   m = in[1]->dim(1), d = in[0]->dim(2);
-      for (size_t bt = 0; bt < batch; ++bt) {
-        const float* sa = in[0]->BatchData(bt);
-        const float* sb = in[1]->BatchData(bt);
-        float* dst = out->BatchData(bt);
-        for (size_t i = 0; i < h; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            const float* xi = sa + i * d;
-            const float* xj = sb + j * d;
-            float* row = dst + (i * m + j) * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseCross:
+      tensor::PairwiseProductCross(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kEmbeddingGather:
     case OpKind::kEmbeddingSumGather:
     case OpKind::kPaddingMask:
@@ -382,103 +242,45 @@ void RunProgram(const Program& prog, Frame* f,
     }
     return nullptr;
   };
-  auto index_source = [&](const IndexBinding& b,
-                          size_t* width) -> const int32_t* {
+  // A gather's index matrix, computed on the fly from its binding to the
+  // synthesized request arrays instead of a per-request vector.
+  auto index_at = [&](const IndexBinding& b) {
+    const int32_t* src = nullptr;
+    size_t w = 0;
     switch (b.source) {
-      case IndexSource::kStatic: *width = prog.n_static; return f->sids.data();
-      case IndexSource::kDynamic: *width = prog.n_seq; return f->dids.data();
+      case IndexSource::kStatic: src = f->sids.data(); w = prog.n_static; break;
+      case IndexSource::kDynamic: src = f->dids.data(); w = prog.n_seq; break;
       case IndexSource::kUnified:
-        *width = prog.n_unified;
-        return f->uids.data();
+        src = f->uids.data();
+        w = prog.n_unified;
+        break;
       case IndexSource::kNone: break;
     }
-    *width = 0;
-    return static_cast<const int32_t*>(nullptr);
+    const uint32_t* cols = b.cols.data();
+    const int32_t* deltas = b.deltas.data();
+    return [src, w, cols, deltas](size_t row, size_t j) {
+      const int32_t sv = src[row * w + cols[j]];
+      return sv < 0 ? sv : sv + deltas[j];
+    };
   };
 
   std::vector<const tensor::Tensor*> in;
   for (const Instr& ins : prog.instrs) {
     tensor::Tensor& out = f->locals[ins.out];
     switch (ins.kind) {
-      case OpKind::kEmbeddingGather: {
-        // Mirrors autograd::EmbeddingGather, with the index matrix computed
-        // on the fly from the binding instead of a per-request vector.
-        const tensor::Tensor& table = *resolve(ins.in[0]);
-        const size_t vocab = table.dim(0), d = table.dim(1);
-        const size_t batch = out.dim(0), n = out.dim(1);
-        const float* tv = table.data();
-        float* out_data = out.data();
-        const uint32_t* cols = ins.binding.cols.data();
-        const int32_t* deltas = ins.binding.deltas.data();
-        size_t w = 0;
-        const int32_t* src = index_source(ins.binding, &w);
-        util::ParallelFor(batch * n, util::GrainForRows(d, util::kEwGrain),
-                          [=](size_t i0, size_t i1) {
-          for (size_t i = i0; i < i1; ++i) {
-            const size_t b = i / n, j = i % n;
-            const int32_t sv = src[b * w + cols[j]];
-            const int32_t idx = sv < 0 ? sv : sv + deltas[j];
-            float* dst = out_data + i * d;
-            if (idx < 0) {  // padding -> zero row
-              for (size_t c = 0; c < d; ++c) dst[c] = 0.0f;
-              continue;
-            }
-            SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-            const float* srow = tv + static_cast<size_t>(idx) * d;
-            for (size_t c = 0; c < d; ++c) dst[c] = srow[c];
-          }
-        });
+      case OpKind::kEmbeddingGather:
+        tensor::EmbeddingGather(*resolve(ins.in[0]), index_at(ins.binding),
+                                &out);
         break;
-      }
-      case OpKind::kEmbeddingSumGather: {
-        const tensor::Tensor& weights = *resolve(ins.in[0]);
-        const size_t vocab = weights.dim(0);
-        const size_t batch = out.dim(0);
-        const size_t n = ins.binding.cols.size();
-        const float* wv = weights.data();
-        float* out_data = out.data();
-        const uint32_t* cols = ins.binding.cols.data();
-        const int32_t* deltas = ins.binding.deltas.data();
-        size_t w = 0;
-        const int32_t* src = index_source(ins.binding, &w);
-        util::ParallelFor(batch, util::GrainForRows(n, util::kEwGrain),
-                          [=](size_t b0, size_t b1) {
-          for (size_t b = b0; b < b1; ++b) {
-            float acc = 0.0f;
-            for (size_t i = 0; i < n; ++i) {
-              const int32_t sv = src[b * w + cols[i]];
-              const int32_t idx = sv < 0 ? sv : sv + deltas[i];
-              if (idx < 0) continue;
-              SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-              acc += wv[idx];
-            }
-            out_data[b] = acc;
-          }
-        });
+      case OpKind::kEmbeddingSumGather:
+        tensor::EmbeddingSumGather(*resolve(ins.in[0]), index_at(ins.binding),
+                                   ins.binding.cols.size(), &out);
         break;
-      }
-      case OpKind::kPaddingMask: {
-        const size_t n = prog.n_seq;
-        MaterializeMask(ins.kind, ins.causal, 0, history,
-                        out.size() / (n * n), n, out.size(), out.data());
-        break;
-      }
-      case OpKind::kHistoryMask: {
-        const size_t n = prog.n_seq;
-        MaterializeMask(ins.kind, false, 0, history, out.size() / n, n,
-                        out.size(), out.data());
-        break;
-      }
-      case OpKind::kCrossPaddingMask: {
-        const size_t n = prog.n_seq;
-        const size_t ns = ins.row;
-        const size_t block = (ns + n) * (ns + n);
-        MaterializeMask(ins.kind, false, ns, history, out.size() / block, n,
-                        out.size(), out.data());
-        break;
-      }
+      case OpKind::kPaddingMask:
+      case OpKind::kHistoryMask:
+      case OpKind::kCrossPaddingMask:
       case OpKind::kZeros:
-        MaterializeMask(OpKind::kZeros, false, 0, history, 1, prog.n_seq,
+        MaterializeMask(ins.kind, ins.causal, ins.row, history, prog.n_seq,
                         out.size(), out.data());
         break;
       case OpKind::kTileRows: {

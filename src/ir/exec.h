@@ -29,10 +29,10 @@ namespace ir {
 /// in thread-local frames sized by PlanArena, so steady-state scoring
 /// performs zero heap allocations and is trivially thread-safe.
 
-/// Evaluates one pure instruction (no request-dependent inputs) by
-/// replicating the corresponding eager forward exactly — same kernels, same
-/// ParallelFor grains, same reduction order — so compiled results are
-/// bit-identical to the taped forward at every thread count and SIMD level.
+/// Evaluates one pure instruction (no request-dependent inputs) by calling
+/// the tensor:: forward its autograd op calls (tensor/ops.h), so compiled
+/// results are bit-identical to the taped forward at every thread count and
+/// SIMD level.
 /// Returns false for kinds that are not pure functions of their tensor
 /// inputs (gathers, synthesized masks, tile_rows), which the executor and
 /// the constant folder handle themselves.

@@ -320,7 +320,6 @@ size_t FuseElementwise(Program* program) {
       case OpKind::kSigmoid:
       case OpKind::kTanh:
       case OpKind::kScale:
-      case OpKind::kAddScalar:
       case OpKind::kReshape:
         break;
       default:

@@ -58,7 +58,7 @@ size_t FoldConstants(Program* program);
 size_t DeadCodeElim(Program* program);
 
 /// Aliases the output of single-consumer elementwise chain links (relu,
-/// sigmoid, tanh, scale, add_scalar, reshape) onto their input buffer so the
+/// sigmoid, tanh, scale, reshape) onto their input buffer so the
 /// executor runs them in place (reshape becomes free). Returns the number of
 /// values aliased.
 size_t FuseElementwise(Program* program);

@@ -1,8 +1,9 @@
 #include "ir/program.h"
 
+#include <algorithm>
 #include <atomic>
-#include <limits>
 
+#include "nn/masks.h"
 #include "util/logging.h"
 
 namespace seqfm {
@@ -25,7 +26,6 @@ constexpr OpKindSpelling kOpKindSpellings[] = {
     {"sub", OpKind::kSub, true},
     {"mul", OpKind::kMul, true},
     {"scale", OpKind::kScale, true},
-    {"add_scalar", OpKind::kAddScalar, true},
     {"add_bias", OpKind::kAddBias, true},
     {"add_broadcast_batch", OpKind::kAddBroadcastBatch, true},
     {"relu", OpKind::kRelu, true},
@@ -86,86 +86,36 @@ void AssignProgramUid(Program* prog) {
   prog->alive = std::make_shared<const uint64_t>(prog->uid);
 }
 
-namespace {
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-/// One-sample padding mask block [n, n] (nn::MakeBatchPaddingMask row b).
-void PaddingMaskBlock(bool causal, const int32_t* dyn, size_t n, float* dst) {
-  for (size_t i = 0; i < n; ++i) {
-    float* row = dst + i * n;
-    bool any_open = false;
-    for (size_t j = 0; j < n; ++j) {
-      const bool blocked_causal = causal && i < j;
-      const bool blocked_pad = dyn[j] < 0;
-      row[j] = (blocked_causal || blocked_pad) ? kNegInf : 0.0f;
-      any_open = any_open || row[j] == 0.0f;
-    }
-    if (!any_open) row[i] = 0.0f;
-  }
-}
-
-/// One-sample history mask row [n] (nn::MakeHistoryPaddingMask row b).
-void HistoryMaskBlock(const int32_t* dyn, size_t n, float* dst) {
-  bool any = false;
-  for (size_t i = 0; i < n; ++i) {
-    const bool pad = dyn[i] < 0;
-    dst[i] = pad ? kNegInf : 0.0f;
-    any = any || !pad;
-  }
-  if (!any) dst[n - 1] = 0.0f;
-}
-
-/// One-sample padding-aware cross mask block [(ns+n), (ns+n)]
-/// (core::SeqFm's MakePaddingAwareCrossMask row b).
-void CrossMaskBlock(size_t ns, const int32_t* dyn, size_t nd, float* dst) {
-  const size_t n = ns + nd;
-  for (size_t i = 0; i < n; ++i) {
-    float* row = dst + i * n;
-    const bool i_static = i < ns;
-    bool any_open = false;
-    for (size_t j = 0; j < n; ++j) {
-      const bool j_static = j < ns;
-      bool blocked = (i_static == j_static);
-      if (!j_static && dyn[j - ns] < 0) blocked = true;
-      row[j] = blocked ? kNegInf : 0.0f;
-      any_open = any_open || !blocked;
-    }
-    if (!any_open) row[i] = 0.0f;
-  }
-}
-}  // namespace
-
 void MaterializeMask(OpKind kind, bool causal, size_t ns,
-                     const int32_t* dynamic_ids, size_t batch, size_t n,
-                     size_t total, float* dst) {
+                     const int32_t* dynamic_ids, size_t n, size_t total,
+                     float* dst) {
   size_t block = 0;
   switch (kind) {
     case OpKind::kZeros:
-      for (size_t i = 0; i < total; ++i) dst[i] = 0.0f;
+      std::fill(dst, dst + total, 0.0f);
       return;
     case OpKind::kPaddingMask:
       block = n * n;
-      SEQFM_CHECK_EQ(batch * block, total);
-      PaddingMaskBlock(causal, dynamic_ids, n, dst);
+      SEQFM_CHECK(total >= block && total % block == 0);
+      nn::PaddingMaskBlock(dynamic_ids, n, causal, dst);
       break;
     case OpKind::kHistoryMask:
       block = n;
-      SEQFM_CHECK_EQ(batch * block, total);
-      HistoryMaskBlock(dynamic_ids, n, dst);
+      SEQFM_CHECK(total >= block && total % block == 0);
+      nn::HistoryMaskBlock(dynamic_ids, n, dst);
       break;
     case OpKind::kCrossPaddingMask:
       block = (ns + n) * (ns + n);
-      SEQFM_CHECK_EQ(batch * block, total);
-      CrossMaskBlock(ns, dynamic_ids, n, dst);
+      SEQFM_CHECK(total >= block && total % block == 0);
+      nn::CrossPaddingMaskBlock(dynamic_ids, ns, n, dst);
       break;
     default:
       SEQFM_CHECK(false) << "not a synthesized constant: "
                          << OpKindName(kind);
   }
   // All samples of a serving chunk share one history, so the block repeats.
-  for (size_t b = 1; b < batch; ++b) {
-    float* out = dst + b * block;
-    for (size_t i = 0; i < block; ++i) out[i] = dst[i];
+  for (size_t off = block; off < total; off += block) {
+    std::copy(dst, dst + block, dst + off);
   }
 }
 

@@ -22,14 +22,13 @@ namespace ir {
 /// specialized to one candidate count and recompiled (cheaply) for another.
 
 /// Instruction opcode. The first block mirrors the autograd op vocabulary
-/// one-to-one (the executor replicates each eager forward bit-for-bit); the
-/// second block exists only in compiled programs.
+/// one-to-one (the executor calls the same tensor:: forward as each autograd
+/// op); the second block exists only in compiled programs.
 enum class OpKind : uint8_t {
   kAdd,
   kSub,
   kMul,
   kScale,
-  kAddScalar,
   kAddBias,
   kAddBroadcastBatch,
   kRelu,
@@ -105,7 +104,7 @@ struct Instr {
   std::vector<uint32_t> in;  // input value ids, positional
   uint32_t out = 0;
   // Scalar attributes (only the fields the kind needs are meaningful).
-  float alpha = 0.0f;    // scale / add_scalar / reduce_axis1
+  float alpha = 0.0f;    // scale / reduce_axis1
   float eps = 0.0f;      // layer_norm
   uint32_t row = 0;      // slice_row; cross-padding mask's n_static
   bool trans_a = false;  // bmm
@@ -175,19 +174,19 @@ uint64_t NextProgramUid();
 /// Gives \p prog a fresh uid and liveness token.
 void AssignProgramUid(Program* prog);
 
-/// Materializes a compiler-synthesized mask/zeros instruction into \p dst
-/// (size \p batch * rows_per_sample * cols as implied by the kind) from the
-/// request history. Shared by the executor and the trace-time verification
-/// so the re-materialization rule is pinned in one place.
+/// Materializes a compiler-synthesized mask/zeros instruction into the
+/// \p total floats at \p dst from the request history, through the same
+/// per-sample block builder the eager mask uses (nn/masks.h), repeated for
+/// every sample. Shared by the executor and the trace-time verification.
 ///   kPaddingMask:      [batch*n, n], causal per Instr::causal
 ///   kHistoryMask:      [batch, n]
 ///   kCrossPaddingMask: [batch*(ns+n), ns+n], ns = Instr::row
 ///   kZeros:            all zero
 /// \p dynamic_ids is one history row of length \p n (every sample of a
-/// serving chunk shares it).
+/// serving chunk shares it); \p total must be a whole number of blocks.
 void MaterializeMask(OpKind kind, bool causal, size_t ns,
-                     const int32_t* dynamic_ids, size_t batch, size_t n,
-                     size_t total, float* dst);
+                     const int32_t* dynamic_ids, size_t n, size_t total,
+                     float* dst);
 
 }  // namespace ir
 }  // namespace seqfm

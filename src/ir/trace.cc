@@ -204,7 +204,7 @@ struct TraceSink {
     // what the model actually built; any drift would silently corrupt
     // compiled serving, so it poisons the trace instead.
     tensor::Tensor check = tensor::Tensor::Uninitialized(want_shape);
-    MaterializeMask(kind, causal, ns, batch->dynamic_ids.data(), B, n,
+    MaterializeMask(kind, causal, ns, batch->dynamic_ids.data(), n,
                     check.size(), check.data());
     if (std::memcmp(check.data(), node->value.data(),
                     check.size() * sizeof(float)) != 0) {

@@ -30,7 +30,6 @@ bool IsPointwiseInPlace(OpKind k) {
     case OpKind::kSigmoid:
     case OpKind::kTanh:
     case OpKind::kScale:
-    case OpKind::kAddScalar:
     case OpKind::kReshape:
       return true;
     default:
@@ -120,7 +119,6 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       SEQFM_RETURN_NOT_OK(same_size(1));
       return Status::OK();
     case OpKind::kScale:
-    case OpKind::kAddScalar:
     case OpKind::kRelu:
     case OpKind::kSigmoid:
     case OpKind::kTanh:

@@ -23,9 +23,6 @@ autograd::Variable MakeCausalMask(size_t n);
 /// the other a dynamic feature; same-category interactions are blocked.
 autograd::Variable MakeCrossMask(size_t n_static, size_t n_dynamic);
 
-/// All-zero mask of size [n, n] (no-op; useful in tests).
-autograd::Variable MakeZeroMask(size_t n);
-
 /// Per-sample mask of shape [batch*n, n] that combines the causal structure
 /// (when \p causal) with blocking attention *to* padding key positions
 /// (indices[b*n + j] < 0). A row whose every entry would be blocked keeps its
@@ -40,6 +37,20 @@ autograd::Variable MakeBatchPaddingMask(const std::vector<int32_t>& indices,
 /// (DIN's attention pooling).
 autograd::Variable MakeHistoryPaddingMask(const std::vector<int32_t>& indices,
                                           size_t batch, size_t n);
+
+/// Per-sample block builders: one sample's slice of a history-dependent
+/// mask, written from that sample's \p ids. The batch builders above (and
+/// SeqFM's padding-aware cross mask) loop over them, and compiled serving
+/// re-materializes its masks through them (ir::MaterializeMask).
+/// [n, n] block of MakeBatchPaddingMask.
+void PaddingMaskBlock(const int32_t* ids, size_t n, bool causal, float* dst);
+/// [n] row of MakeHistoryPaddingMask.
+void HistoryMaskBlock(const int32_t* ids, size_t n, float* dst);
+/// [ns+nd, ns+nd] block of the cross-view mask (Eq. 13) that additionally
+/// blocks attention to dynamic padding keys (ids[j] < 0, j < nd). A row
+/// whose every entry would be blocked keeps its diagonal entry open.
+void CrossPaddingMaskBlock(const int32_t* ids, size_t ns, size_t nd,
+                           float* dst);
 
 }  // namespace nn
 }  // namespace seqfm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
@@ -158,8 +157,7 @@ void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
   // The scratch scope routes every op output of the forward into the
   // worker's arena; results are copied into `out` before it closes.
   autograd::NoGradGuard no_grad;
-  std::optional<core::ScratchScope> scratch;
-  if (options_.use_scratch_arena) scratch.emplace();
+  core::ScratchScope scratch;
   std::vector<const data::SequenceExample*> repeated(end - begin, &ex);
   std::vector<int32_t> override_chunk(candidates.begin() + begin,
                                       candidates.begin() + end);
@@ -231,8 +229,7 @@ void Predictor::ScoreFactoredRange(const core::SharedContext& ctx,
   // thread's scratch arena and is released wholesale when this chunk
   // returns — zero tensor heap traffic once the arena is warm. The scores
   // are copied into out_scores before the scope closes.
-  std::optional<core::ScratchScope> scratch;
-  if (options_.use_scratch_arena) scratch.emplace();
+  core::ScratchScope scratch;
   const core::SeqFm::ServingView view = seqfm_->serving_view();
   const core::SeqFmConfig& cfg = seqfm_->config();
   const data::FeatureSpace& space = builder_->space();
@@ -243,14 +240,7 @@ void Predictor::ScoreFactoredRange(const core::SharedContext& ctx,
   // The id vectors ride the worker's scratch arena too (released with the
   // scope), so a warm chunk performs zero heap allocations end to end; the
   // embedding ops take raw pointers and copy only if a tape is recording.
-  std::vector<int32_t> heap_ids;
-  int32_t* static_ids;
-  if (scratch.has_value()) {
-    static_ids = core::ThreadScratchArena().AllocateInts(count * 3);
-  } else {
-    heap_ids.resize(count * 3);
-    static_ids = heap_ids.data();
-  }
+  int32_t* static_ids = core::ThreadScratchArena().AllocateInts(count * 3);
   int32_t* cand_ids = static_ids + count * 2;
   for (size_t i = 0; i < count; ++i) {
     static_ids[2 * i] = ctx.user_index;

@@ -50,13 +50,6 @@ struct PredictorOptions {
   /// (their unit is the prologue's slot tensors). Ignored when neither the
   /// compiled nor the hand-factored context path is active.
   size_t context_cache_bytes = 0;
-  /// Draw tape-free op outputs from the worker thread's core::ScratchArena
-  /// (zero tensor heap allocations in steady state). Off = every op output
-  /// is an individual heap allocation, the pre-arena behavior — kept as an
-  /// escape hatch and as bench_serving's arena-off baseline. The arena
-  /// retains each worker's per-chunk high-water mark (tens of MiB at
-  /// serving shapes) for reuse across requests.
-  bool use_scratch_arena = true;
 };
 
 /// One ranked catalog entry returned by Predictor::TopK.

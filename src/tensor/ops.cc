@@ -84,6 +84,30 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
       << "shape mismatch: " << a.ToString(0) << " vs " << b.ToString(0);
 }
 
+// Same-shape elementwise maps: the dispatched kernel runs over contiguous
+// ranges of the flat element loop.
+void BinaryMap(void (*kernel)(const float*, const float*, float*, size_t),
+               const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckSameShape(a, b);
+  CheckSameShape(a, *out);
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* y = out->data();
+  util::ParallelFor(a.size(), kEwGrain, [=](size_t i0, size_t i1) {
+    kernel(av + i0, bv + i0, y + i0, i1 - i0);
+  });
+}
+
+void UnaryMap(void (*kernel)(const float*, float*, size_t), size_t grain,
+              const Tensor& in, Tensor* out) {
+  CheckSameShape(in, *out);
+  const float* x = in.data();
+  float* y = out->data();
+  util::ParallelFor(in.size(), grain, [=](size_t i0, size_t i1) {
+    kernel(x + i0, y + i0, i1 - i0);
+  });
+}
+
 /// The lane-blocked reduction order's independent restatement for the
 /// oracle: eight partial sums, element p into lane p % 8, combined by the
 /// fixed tree. Mirrors kernels.h so GemmReference stays a genuinely separate
@@ -262,69 +286,27 @@ void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out) {
 }
 
 void Add(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckSameShape(a, b);
-  CheckSameShape(a, *out);
-  const float* av = a.data();
-  const float* bv = b.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(a.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.add(av + i0, bv + i0, y + i0, i1 - i0);
-  });
+  BinaryMap(kernels::Active().add, a, b, out);
 }
 
 void Sub(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckSameShape(a, b);
-  CheckSameShape(a, *out);
-  const float* av = a.data();
-  const float* bv = b.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(a.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.sub(av + i0, bv + i0, y + i0, i1 - i0);
-  });
+  BinaryMap(kernels::Active().sub, a, b, out);
 }
 
 void Mul(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckSameShape(a, b);
-  CheckSameShape(a, *out);
-  const float* av = a.data();
-  const float* bv = b.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(a.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.mul(av + i0, bv + i0, y + i0, i1 - i0);
-  });
+  BinaryMap(kernels::Active().mul, a, b, out);
 }
 
 void Relu(const Tensor& in, Tensor* out) {
-  CheckSameShape(in, *out);
-  const float* x = in.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(in.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.relu(x + i0, y + i0, i1 - i0);
-  });
+  UnaryMap(kernels::Active().relu, kEwGrain, in, out);
 }
 
 void Sigmoid(const Tensor& in, Tensor* out) {
-  CheckSameShape(in, *out);
-  const float* x = in.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(in.size(), kMathGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.sigmoid(x + i0, y + i0, i1 - i0);
-  });
+  UnaryMap(kernels::Active().sigmoid, kMathGrain, in, out);
 }
 
 void Tanh(const Tensor& in, Tensor* out) {
-  CheckSameShape(in, *out);
-  const float* x = in.data();
-  float* y = out->data();
-  const kernels::KernelTable& kt = kernels::Active();
-  util::ParallelFor(in.size(), kMathGrain, [=, &kt](size_t i0, size_t i1) {
-    kt.tanh(x + i0, y + i0, i1 - i0);
-  });
+  UnaryMap(kernels::Active().tanh, kMathGrain, in, out);
 }
 
 void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out) {
@@ -343,6 +325,197 @@ void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out) {
       kt.add(x + r * d, bv, y + r * d, d);
     }
   });
+}
+
+void Scale(const Tensor& in, float alpha, Tensor* out) {
+  CheckSameShape(in, *out);
+  const float* x = in.data();
+  float* y = out->data();
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(in.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
+    kt.scale(alpha, x + i0, y + i0, i1 - i0);
+  });
+}
+
+void AddBroadcastBatch(const Tensor& x, const Tensor& table, Tensor* out) {
+  CheckSameShape(x, *out);
+  SEQFM_CHECK_EQ(x.rank(), 3u);
+  SEQFM_CHECK_EQ(table.size(), x.dim(1) * x.dim(2));
+  const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
+  const float* src = table.data();
+  util::ParallelFor(batch, GrainForRows(rows * d, kEwGrain),
+                    [out, &x, src, rows, d](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      const float* xb = x.BatchData(b);
+      float* dst = out->BatchData(b);
+      for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
+    }
+  });
+}
+
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out) {
+  SEQFM_CHECK_EQ(w.rank(), 2u);
+  SEQFM_CHECK_EQ(p.rank(), 3u);
+  SEQFM_CHECK_EQ(w.dim(1), p.dim(1));
+  const size_t batch = p.dim(0);
+  const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * h2 * d);
+  util::ParallelFor(batch, GrainForRows(h2 * h * d, kGemmParallelMinWork),
+                    [&, h2, h, d](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d, false,
+           false, false);
+    }
+  });
+}
+
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckSameShape(a, b);
+  SEQFM_CHECK_EQ(a.rank(), 2u);
+  const size_t batch = a.dim(0), d = a.dim(1);
+  SEQFM_CHECK_EQ(out->size(), batch);
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* out_data = out->data();
+  // One dispatched lane-blocked dot per row.
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(batch, GrainForRows(d, kEwGrain),
+                    [=, &kt](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      out_data[i] = kt.dot(av + i * d, bv + i * d, d);
+    }
+  });
+}
+
+void LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+               float eps, Tensor* out, Tensor* xhat, float* inv_std) {
+  CheckSameShape(x, *out);
+  const size_t d = x.shape().back();
+  SEQFM_CHECK_EQ(gamma.size(), d);
+  SEQFM_CHECK_EQ(beta.size(), d);
+  if (xhat != nullptr) CheckSameShape(x, *xhat);
+  const size_t rows = x.size() / d;
+  const float* xv = x.data();
+  const float* gv = gamma.data();
+  const float* bv = beta.data();
+  float* out_data = out->data();
+  float* xhat_data = xhat != nullptr ? xhat->data() : nullptr;
+  // Mean and variance use the dispatched lane-blocked reductions; the
+  // normalize/affine pass is the dispatched row map. Identical bits at every
+  // SIMD level and thread count, with or without the tape outputs.
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(rows, GrainForRows(d, kMathGrain),
+                    [=, &kt](size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      const float* xr = xv + r * d;
+      const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
+      const float var =
+          kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
+      const float is = 1.0f / std::sqrt(var + eps);
+      if (inv_std != nullptr) inv_std[r] = is;
+      kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
+                        xhat_data != nullptr ? xhat_data + r * d : nullptr);
+    }
+  });
+}
+
+void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out) {
+  SEQFM_CHECK_EQ(out->rank(), 2u);
+  const size_t batch = out->dim(0), total = out->dim(1);
+  size_t offset = 0;
+  for (const Tensor* p : parts) {
+    SEQFM_CHECK_EQ(p->rank(), 2u);
+    SEQFM_CHECK_EQ(p->dim(0), batch);
+    const size_t d = p->dim(1);
+    SEQFM_CHECK_LE(offset + d, total);
+    for (size_t b = 0; b < batch; ++b) {
+      std::copy_n(p->data() + b * d, d, out->data() + b * total + offset);
+    }
+    offset += d;
+  }
+  SEQFM_CHECK_EQ(offset, total);
+}
+
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out) {
+  SEQFM_CHECK_EQ(a.rank(), 3u);
+  SEQFM_CHECK_EQ(b.rank(), 3u);
+  SEQFM_CHECK_EQ(a.dim(0), b.dim(0));
+  SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
+  const size_t batch = a.dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * (na + nb) * d);
+  for (size_t i = 0; i < batch; ++i) {
+    std::copy_n(a.BatchData(i), na * d, out->BatchData(i));
+    std::copy_n(b.BatchData(i), nb * d, out->BatchData(i) + na * d);
+  }
+}
+
+void SliceRow(const Tensor& in, size_t row, Tensor* out) {
+  SEQFM_CHECK_EQ(in.rank(), 3u);
+  SEQFM_CHECK_LT(row, in.dim(1));
+  const size_t batch = in.dim(0), d = in.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * d);
+  for (size_t b = 0; b < batch; ++b) {
+    std::copy_n(in.BatchData(b) + row * d, d, out->data() + b * d);
+  }
+}
+
+void CopyFlat(const Tensor& in, Tensor* out) {
+  SEQFM_CHECK_EQ(in.size(), out->size())
+      << "reshape must preserve element count";
+  std::copy_n(in.data(), in.size(), out->data());
+}
+
+void ExpandRows(const Tensor& in, Tensor* out) {
+  SEQFM_CHECK_EQ(in.rank(), 2u);
+  SEQFM_CHECK_EQ(out->rank(), 3u);
+  const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
+  SEQFM_CHECK_EQ(in.size(), batch * d);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.data() + b * d;
+    float* dst = out->BatchData(b);
+    for (size_t i = 0; i < n; ++i) std::copy_n(src, d, dst + i * d);
+  }
+}
+
+void PairwiseProductUpper(const Tensor& in, Tensor* out) {
+  SEQFM_CHECK_EQ(in.rank(), 3u);
+  const size_t batch = in.dim(0), n = in.dim(1), d = in.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * (n * (n - 1) / 2) * d);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.BatchData(b);
+    float* dst = out->BatchData(b);
+    size_t p = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j, ++p) {
+        const float* xi = src + i * d;
+        const float* xj = src + j * d;
+        float* row = dst + p * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
+}
+
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out) {
+  SEQFM_CHECK_EQ(a.rank(), 3u);
+  SEQFM_CHECK_EQ(b.rank(), 3u);
+  SEQFM_CHECK_EQ(a.dim(0), b.dim(0));
+  SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
+  const size_t batch = a.dim(0), h = a.dim(1), m = b.dim(1), d = a.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * h * m * d);
+  for (size_t bt = 0; bt < batch; ++bt) {
+    const float* sa = a.BatchData(bt);
+    const float* sb = b.BatchData(bt);
+    float* dst = out->BatchData(bt);
+    for (size_t i = 0; i < h; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        const float* xi = sa + i * d;
+        const float* xj = sb + j * d;
+        float* row = dst + (i * m + j) * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
 }
 
 void SumAxis1(const Tensor& in, float scale, Tensor* out, bool accumulate) {

@@ -3,8 +3,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace seqfm {
 namespace tensor {
@@ -66,6 +69,102 @@ void Tanh(const Tensor& in, Tensor* out);
 
 /// Broadcast-add a rank-1 bias of size d over the last dimension.
 void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out);
+
+/// out = alpha * in (same shape; in == out is allowed).
+void Scale(const Tensor& in, float alpha, Tensor* out);
+
+/// out[b] = x[b] + table for rank-3 x [batch, rows, d], table [rows, d].
+void AddBroadcastBatch(const Tensor& x, const Tensor& table, Tensor* out);
+
+/// out[b] = W · P[b] for W [h2, h], P [batch, h, d] -> [batch, h2, d].
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out);
+
+/// out[i] = <a[i], b[i]> for rank-2 [batch, d] -> [batch, 1].
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// Layer normalization over the last dimension with affine gamma/beta [d].
+/// \p xhat (same shape as \p x) and \p inv_std (one float per row) receive
+/// the normalized activations and per-row inverse stddev when non-null —
+/// the taped op's backward state; the arithmetic is identical either way.
+void LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+               float eps, Tensor* out, Tensor* xhat = nullptr,
+               float* inv_std = nullptr);
+
+/// Structural copies.
+/// Concatenates rank-2 [batch, d_i] parts along the last dimension.
+void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out);
+/// Concatenates rank-3 [batch, na, d] and [batch, nb, d] along axis 1.
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out);
+/// out[b] = in[b, row] for rank-3 in -> [batch, d].
+void SliceRow(const Tensor& in, size_t row, Tensor* out);
+/// Flat element copy between equally sized tensors (reshape's copy).
+void CopyFlat(const Tensor& in, Tensor* out);
+/// Repeats each row of rank-2 [batch, d] out.dim(1) times -> [batch, n, d].
+void ExpandRows(const Tensor& in, Tensor* out);
+/// Products of every unordered row pair (i < j, row-major pair order) of
+/// rank-3 [batch, n, d] -> [batch, n(n-1)/2, d].
+void PairwiseProductUpper(const Tensor& in, Tensor* out);
+/// Products of every (a row i, b row j) pair, i-major, of [batch, h, d] and
+/// [batch, m, d] -> [batch, h*m, d].
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// Embedding gathers. \p index_at(b, j) yields sample b's j-th table row:
+/// negative is padding (a zero row, or no term in the sum) and any other
+/// value must be below the table's row count.
+/// out[b, j] = table[index_at(b, j)] for out [batch, n, d].
+template <typename IndexAt>
+void EmbeddingGather(const Tensor& table, IndexAt index_at, Tensor* out) {
+  SEQFM_CHECK_EQ(table.rank(), 2u);
+  SEQFM_CHECK_EQ(out->rank(), 3u);
+  const size_t vocab = table.dim(0), d = table.dim(1);
+  SEQFM_CHECK_EQ(out->dim(2), d);
+  const size_t n = out->dim(1);
+  const float* tv = table.data();
+  float* out_data = out->data();
+  // Gather rows are disjoint writes, so the flat row loop splits freely.
+  util::ParallelFor(out->dim(0) * n, util::GrainForRows(d, util::kEwGrain),
+                    [=](size_t i0, size_t i1) {
+    for (size_t i = i0, b = i0 / n, j = i0 % n; i < i1; ++i) {
+      const int32_t idx = index_at(b, j);
+      if (++j == n) {
+        j = 0;
+        ++b;
+      }
+      float* dst = out_data + i * d;
+      if (idx < 0) {  // padding -> zero row (output may be uninitialized)
+        for (size_t c = 0; c < d; ++c) dst[c] = 0.0f;
+        continue;
+      }
+      SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
+      const float* src = tv + static_cast<size_t>(idx) * d;
+      for (size_t c = 0; c < d; ++c) dst[c] = src[c];
+    }
+  });
+}
+/// out[b] = sum over j < n of weights[index_at(b, j)] for weights [vocab, 1]
+/// and out [batch, 1], summed in ascending j.
+template <typename IndexAt>
+void EmbeddingSumGather(const Tensor& weights, IndexAt index_at, size_t n,
+                        Tensor* out) {
+  SEQFM_CHECK_EQ(weights.rank(), 2u);
+  SEQFM_CHECK_EQ(weights.dim(1), 1u);
+  const size_t vocab = weights.dim(0);
+  const float* wv = weights.data();
+  float* out_data = out->data();
+  util::ParallelFor(out->size(), util::GrainForRows(n, util::kEwGrain),
+                    [=](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      float acc = 0.0f;
+      for (size_t j = 0; j < n; ++j) {
+        const int32_t idx = index_at(b, j);
+        if (idx < 0) continue;
+        SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
+        acc += wv[idx];
+      }
+      out_data[b] = acc;
+    }
+  });
+}
 
 /// Reductions.
 /// Sums rank-3 [batch, rows, cols] over rows -> [batch, cols], scaled.

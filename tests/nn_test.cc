@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "autograd/ops.h"
 #include "nn/layers.h"
@@ -186,6 +187,44 @@ TEST(MaskTest, BatchPaddingMaskBlocksPaddingKeys) {
   EXPECT_EQ(mask.value().at(0, 0), 0.0f);
   // Sample 1 row 2: causal allows all three.
   for (size_t j = 0; j < 3; ++j) EXPECT_EQ(mask.value().at(5, j), 0.0f);
+}
+
+TEST(MaskTest, FullyPaddedHistoryKeepsEachBlockSoftmaxable) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const int32_t pad[3] = {-1, -1, -1};
+  // Padding block: every key is padding, so each row keeps its diagonal.
+  for (bool causal : {false, true}) {
+    float block[9];
+    PaddingMaskBlock(pad, 3, causal, block);
+    for (size_t i = 0; i < 3; ++i) {
+      for (size_t j = 0; j < 3; ++j) {
+        EXPECT_EQ(block[i * 3 + j], i == j ? 0.0f : -inf)
+            << "causal=" << causal << " " << i << "," << j;
+      }
+    }
+  }
+  // History row: an empty history keeps its last slot open.
+  float row[3];
+  HistoryMaskBlock(pad, 3, row);
+  EXPECT_EQ(row[0], -inf);
+  EXPECT_EQ(row[1], -inf);
+  EXPECT_EQ(row[2], 0.0f);
+  // Cross block (ns = 2, nd = 2): static rows see only padded dynamic keys
+  // and same-category static keys, so they fall back to the diagonal;
+  // dynamic rows still attend to both static keys.
+  float cross[16];
+  CrossPaddingMaskBlock(pad, 2, 2, cross);
+  const float want[16] = {0,    -inf, -inf, -inf,  //
+                          -inf, 0,    -inf, -inf,  //
+                          0,    0,    -inf, -inf,  //
+                          0,    0,    -inf, -inf};
+  for (size_t k = 0; k < 16; ++k) EXPECT_EQ(cross[k], want[k]) << k;
+  // One real dynamic key reopens it for the static rows.
+  const int32_t half[2] = {5, -1};
+  CrossPaddingMaskBlock(half, 2, 2, cross);
+  EXPECT_EQ(cross[0 * 4 + 0], -inf);
+  EXPECT_EQ(cross[0 * 4 + 2], 0.0f);
+  EXPECT_EQ(cross[1 * 4 + 3], -inf);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -396,6 +397,52 @@ TEST(ElementwiseTest, Activations) {
   EXPECT_NEAR(y.at(0), std::tanh(-2.0f), 1e-6f);
 }
 
+TEST(ElementwiseTest, ScaleAndScaleInPlace) {
+  auto x = Tensor::FromVector({3}, {1, -2, 0.5f}).ValueOrDie();
+  Tensor y({3});
+  Scale(x, -2.0f, &y);
+  EXPECT_EQ(y.at(0), -2.0f);
+  EXPECT_EQ(y.at(1), 4.0f);
+  EXPECT_EQ(y.at(2), -1.0f);
+  Scale(x, 3.0f, &x);  // in place, as a fused program runs it
+  EXPECT_EQ(x.at(1), -6.0f);
+}
+
+TEST(ElementwiseTest, AddBroadcastBatchAddsTheTableToEverySample) {
+  auto x = Tensor::FromVector({2, 2, 1}, {1, 2, 3, 4}).ValueOrDie();
+  auto table = Tensor::FromVector({2, 1}, {10, 20}).ValueOrDie();
+  Tensor out({2, 2, 1});
+  AddBroadcastBatch(x, table, &out);
+  EXPECT_EQ(out.at(0, 0, 0), 11.0f);
+  EXPECT_EQ(out.at(0, 1, 0), 22.0f);
+  EXPECT_EQ(out.at(1, 0, 0), 13.0f);
+  EXPECT_EQ(out.at(1, 1, 0), 24.0f);
+}
+
+TEST(ElementwiseTest, LayerNormWithAndWithoutTapeOutputs) {
+  // Row mean 2, variance 2/3 (eps 0): xhat = (x - 2) * sqrt(3/2).
+  auto x = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 4, 4}).ValueOrDie();
+  auto gamma = Tensor::FromVector({3}, {1, 2, 1}).ValueOrDie();
+  auto beta = Tensor::FromVector({3}, {0, 0, 5}).ValueOrDie();
+  Tensor plain({2, 3}), taped({2, 3}), xhat({2, 3});
+  float inv_std[2] = {0.0f, 0.0f};
+  LayerNorm(x, gamma, beta, 0.0f, &plain);
+  LayerNorm(x, gamma, beta, 0.0f, &taped, &xhat, inv_std);
+  const float s = std::sqrt(1.5f);
+  EXPECT_NEAR(plain.at(0, 0), -s, 1e-5f);
+  EXPECT_NEAR(plain.at(0, 1), 0.0f, 1e-6f);
+  EXPECT_NEAR(plain.at(0, 2), s + 5.0f, 1e-5f);
+  EXPECT_NEAR(xhat.at(0, 2), s, 1e-5f);
+  EXPECT_NEAR(inv_std[0], s, 1e-5f);
+  // A constant row has zero variance; eps 0 makes inv_std infinite.
+  EXPECT_TRUE(std::isinf(inv_std[1]));
+  for (size_t i = 0; i < 3; ++i) {
+    // The tape outputs never change the forward's bits.
+    EXPECT_EQ(std::memcmp(&plain.at(0, i), &taped.at(0, i), sizeof(float)),
+              0);
+  }
+}
+
 TEST(ElementwiseTest, StableSigmoidExtremes) {
   EXPECT_NEAR(StableSigmoid(100.0f), 1.0f, 1e-6f);
   EXPECT_NEAR(StableSigmoid(-100.0f), 0.0f, 1e-6f);
@@ -418,6 +465,97 @@ TEST(ReductionTest, SumAxis1WithScale) {
   SumAxis1(x, 0.5f, &out);
   EXPECT_EQ(out.at(0, 0), 2.0f);  // (1+3)/2
   EXPECT_EQ(out.at(1, 1), 7.0f);  // (6+8)/2
+}
+
+TEST(ReductionTest, RowDotPerRow) {
+  auto a = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6}).ValueOrDie();
+  auto b = Tensor::FromVector({2, 3}, {1, 0, -1, 2, 2, 2}).ValueOrDie();
+  Tensor out({2, 1});
+  RowDot(a, b, &out);
+  EXPECT_EQ(out.at(0, 0), -2.0f);
+  EXPECT_EQ(out.at(1, 0), 30.0f);
+}
+
+TEST(ReductionTest, BatchedMatMulLeftSharedAppliesOneLeftFactor) {
+  // W [1, 2] = [1, -1]; P[b] [2, 2]: out[b] = row0 - row1.
+  auto w = Tensor::FromVector({1, 2}, {1, -1}).ValueOrDie();
+  auto p = Tensor::FromVector({2, 2, 2}, {5, 6, 1, 2, 0, 1, 3, 3})
+               .ValueOrDie();
+  Tensor out({2, 1, 2});
+  BatchedMatMulLeftShared(w, p, &out);
+  EXPECT_EQ(out.at(0, 0, 0), 4.0f);
+  EXPECT_EQ(out.at(0, 0, 1), 4.0f);
+  EXPECT_EQ(out.at(1, 0, 0), -3.0f);
+  EXPECT_EQ(out.at(1, 0, 1), -2.0f);
+}
+
+TEST(ReductionTest, StructuralCopies) {
+  auto a = Tensor::FromVector({2, 1}, {1, 2}).ValueOrDie();
+  auto b = Tensor::FromVector({2, 2}, {3, 4, 5, 6}).ValueOrDie();
+  auto c = Tensor::FromVector({2, 1}, {7, 8}).ValueOrDie();
+  Tensor cat({2, 4});
+  ConcatLastDim({&a, &b, &c}, &cat);
+  const std::vector<float> want_cat = {1, 3, 4, 7, 2, 5, 6, 8};
+  EXPECT_EQ(std::vector<float>(cat.data(), cat.data() + 8), want_cat);
+
+  auto x = Tensor::FromVector({2, 1, 2}, {1, 2, 3, 4}).ValueOrDie();
+  auto y = Tensor::FromVector({2, 2, 2}, {5, 6, 7, 8, 9, 10, 11, 12})
+               .ValueOrDie();
+  Tensor cat1({2, 3, 2});
+  ConcatAxis1(x, y, &cat1);
+  const std::vector<float> want_cat1 = {1, 2, 5,  6,  7,  8,
+                                        3, 4, 9, 10, 11, 12};
+  EXPECT_EQ(std::vector<float>(cat1.data(), cat1.data() + 12), want_cat1);
+
+  Tensor row({2, 2});
+  SliceRow(y, 1, &row);
+  EXPECT_EQ(row.at(0, 0), 7.0f);
+  EXPECT_EQ(row.at(1, 1), 12.0f);
+
+  Tensor flat({8});
+  CopyFlat(y, &flat);
+  EXPECT_EQ(flat.at(5), 10.0f);
+
+  Tensor expanded({2, 3, 1});
+  ExpandRows(a, &expanded);
+  const std::vector<float> want_expanded = {1, 1, 1, 2, 2, 2};
+  EXPECT_EQ(std::vector<float>(expanded.data(), expanded.data() + 6),
+            want_expanded);
+}
+
+TEST(ReductionTest, PairwiseProducts) {
+  // Three rows r0 = [1, 2], r1 = [3, 4], r2 = [5, 6]: pairs in (0,1),
+  // (0,2), (1,2) order.
+  auto x = Tensor::FromVector({1, 3, 2}, {1, 2, 3, 4, 5, 6}).ValueOrDie();
+  Tensor upper({1, 3, 2});
+  PairwiseProductUpper(x, &upper);
+  const std::vector<float> want_upper = {3, 8, 5, 12, 15, 24};
+  EXPECT_EQ(std::vector<float>(upper.data(), upper.data() + 6), want_upper);
+
+  // a rows [1, 2], [3, 4] crossed with b rows [10, 100]: i-major.
+  auto a = Tensor::FromVector({1, 2, 2}, {1, 2, 3, 4}).ValueOrDie();
+  auto b = Tensor::FromVector({1, 1, 2}, {10, 100}).ValueOrDie();
+  Tensor cross({1, 2, 2});
+  PairwiseProductCross(a, b, &cross);
+  const std::vector<float> want_cross = {10, 200, 30, 400};
+  EXPECT_EQ(std::vector<float>(cross.data(), cross.data() + 4), want_cross);
+}
+
+TEST(ReductionTest, EmbeddingGathersZeroPaddingIndices) {
+  auto table = Tensor::FromVector({3, 2}, {1, 2, 3, 4, 5, 6}).ValueOrDie();
+  const std::vector<int32_t> ids = {2, -1, 0, 1};  // [batch 2, n 2]
+  auto index_at = [&ids](size_t b, size_t j) { return ids[b * 2 + j]; };
+  Tensor out({2, 2, 2});
+  out.Fill(-7.0f);  // the padding row must be written, not left as-is
+  EmbeddingGather(table, index_at, &out);
+  const std::vector<float> want = {5, 6, 0, 0, 1, 2, 3, 4};
+  EXPECT_EQ(std::vector<float>(out.data(), out.data() + 8), want);
+
+  auto weights = Tensor::FromVector({3, 1}, {0.5f, 2, 8}).ValueOrDie();
+  Tensor sums({2, 1});
+  EmbeddingSumGather(weights, index_at, 2, &sums);
+  EXPECT_EQ(sums.at(0, 0), 8.0f);  // 8 + (padding: no term)
+  EXPECT_EQ(sums.at(1, 0), 2.5f);  // 0.5 + 2
 }
 
 TEST(ReductionTest, SumLastAndSumAll) {
